@@ -3,7 +3,7 @@
 // Two modes:
 //
 //   in-process (default): drives ForecastService directly (no sockets: this
-//   measures the serving machinery — cache, batcher, batch predict — not the
+//   measures the serving machinery — validation, cache, match — not the
 //   kernel's TCP stack) with N client threads issuing blocking predicts over
 //   a pool of probe windows.
 //
@@ -26,8 +26,6 @@
 //   --unique N           distinct probe windows (cache hit rate ~ 1-N/total)
 //   --horizon H          steps ahead                      (default 1)
 //   --no-cache           disable the prediction cache
-//   --no-batch           disable the micro-batcher (inline predicts)
-//   --batch-delay-us N   batcher coalescing delay         (default 200)
 //   --reload-every-ms N  hot-swap the model every N ms    (default 0 = off)
 //   --seed S             probe/rule RNG seed              (default 1)
 //   --bench-json PATH    write the load-test summary as JSON
@@ -312,9 +310,6 @@ int main(int argc, char** argv) {
 
   ef::serve::ServeOptions options;
   options.enable_cache = !cli.get_bool("no-cache");
-  options.enable_batcher = !cli.get_bool("no-batch");
-  options.batcher.max_delay =
-      std::chrono::microseconds(cli.get_int("batch-delay-us", 200));
   options.port = 0;  // ephemeral (TCP mode)
   options.reactor_threads = static_cast<std::size_t>(cli.get_int("reactors", 0));
   ef::serve::ForecastService service(store, options);
@@ -489,10 +484,9 @@ int main(int argc, char** argv) {
 
     std::printf("bench_serve_throughput: tcp open-loop, %zu connections x pipeline %zu "
                 "over %zu io threads, %zu reactor shards (window %zu, rules %zu, "
-                "cache %s, batcher %s%s)\n",
+                "cache %s%s)\n",
                 connections, pipeline, io_threads, reactor.shard_count(), window, rules,
                 options.enable_cache ? "on" : "off",
-                options.enable_batcher ? "on" : "off",
                 reload_every_ms > 0 ? ", hot-reload on" : "");
     print_summary(summary);
 #endif
@@ -558,10 +552,9 @@ int main(int argc, char** argv) {
                   static_cast<double>(cache.hits + cache.misses);
 
     std::printf("bench_serve_throughput: %zu clients x %zu requests (window %zu, "
-                "rules %zu, horizon %zu, cache %s, batcher %s%s)\n",
+                "rules %zu, horizon %zu, cache %s%s)\n",
                 clients, requests, window, rules, horizon,
                 options.enable_cache ? "on" : "off",
-                options.enable_batcher ? "on" : "off",
                 reload_every_ms > 0 ? ", hot-reload on" : "");
     print_summary(summary);
     std::printf("  cache      : hits %llu   misses %llu   evictions %llu   "

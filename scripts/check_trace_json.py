@@ -16,7 +16,7 @@ document (what Perfetto / chrome://tracing would load):
   * span ids are unique; every span's parent_id is 0 or names another
     span of the same trace
   * with --min-span-names N: at least one trace contains >= N distinct
-    span names (e.g. 4 proves the queue/batch/match/respond pipeline was
+    span names (e.g. 4 proves the lookup/cache/match/respond pipeline was
     captured end to end)
   * with --require-slow: at least one slow-request exemplar is present
     (a serve.slow_request instant marker or a span with args.slow_us)

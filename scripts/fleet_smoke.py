@@ -117,10 +117,14 @@ def main():
     # -- 1. train + pack + evaluate ------------------------------------------
     print("fleet_smoke: training %d-series synthetic fleet" % FLEET_SERIES)
     metrics_json = os.path.join(workdir, "train_metrics.json")
+    events_log = os.path.join(workdir, "train_events.jsonl")
+    if os.path.exists(events_log):
+        os.remove(events_log)  # the event sink appends
     train = run([eftrain, "--synthetic", str(FLEET_SERIES), "--length", "240",
                  "--population", "24", "--generations", "150",
                  "--out", container, "--evaluate", "--bench-json", bench_json,
-                 "--metrics-json", metrics_json])
+                 "--metrics-json", metrics_json],
+                env={**os.environ, "EVOFORECAST_EVENT_LOG": events_log})
     check("eftrain exits 0", train.returncode == 0, train.stderr[-2000:])
     check("container written", os.path.isfile(container))
     check("bench json written", os.path.isfile(bench_json))
@@ -136,6 +140,20 @@ def main():
                 if name.startswith("match.backend.") and name.endswith(".selected")]
     check("training selected a match backend", len(selected) >= 1,
           sorted(metrics.get("counters", {})))
+    # The same resolution emits the match.backend_selected event, naming the
+    # backend whose counter moved and whether the CPU reports AVX2.
+    selections = []
+    if os.path.isfile(events_log):
+        with open(events_log) as f:
+            events = [json.loads(line) for line in f if line.strip()]
+        selections = [e for e in events if e.get("kind") == "match.backend_selected"]
+    check("events carry match.backend_selected", len(selections) >= 1,
+          events_log)
+    check("match.backend_selected names the selected backend",
+          all(f"match.backend.{e.get('backend')}.selected" in selected
+              and isinstance(e.get("avx2_supported"), bool)
+              for e in selections),
+          selections)
 
     saved_argv = sys.argv
     sys.argv = ["check_fleet_bench.py", bench_json,

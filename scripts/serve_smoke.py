@@ -386,10 +386,6 @@ def main():
               sorted(kinds))
         check("events carry serve.model.reload", "serve.model.reload" in kinds,
               sorted(kinds))
-        # First prediction resolves a match backend (RuleSystem kAuto), which
-        # emits the one-time selection breadcrumb.
-        check("events carry match.backend_selected",
-              "match.backend_selected" in kinds, sorted(kinds))
 
         # Trace verb: embedded Chrome trace-event document, structurally
         # valid, with the request pipeline (>= 4 distinct span names in one
@@ -407,8 +403,8 @@ def main():
         names = {e.get("name") for e in tevents or [] if isinstance(e, dict)}
         check("trace has serve.request spans", "serve.request" in names,
               sorted(names)[:10])
-        check("trace has batcher pipeline spans",
-              {"serve.queue", "serve.batch", "serve.match"} <= names,
+        check("trace has inline pipeline spans",
+              {"serve.lookup", "serve.cache", "serve.match", "serve.respond"} <= names,
               sorted(names)[:10])
 
         # Windowed coverage: once the collector window is live every
@@ -594,7 +590,7 @@ def main():
             check("efstat --trace exits 0", stat_trace.returncode == 0,
                   stat_trace.stderr)
             check("efstat --trace shows stage breakdown",
-                  "queue" in stat_trace.stdout and "match" in stat_trace.stdout,
+                  "cache" in stat_trace.stdout and "match" in stat_trace.stdout,
                   stat_trace.stdout[:200])
 
         client.close()

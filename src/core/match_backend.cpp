@@ -53,9 +53,9 @@ namespace {
 
 /// One-time "which backend actually runs" breadcrumb: an event plus a
 /// per-backend counter, emitted the first time each backend value is
-/// resolved in this process. Smoke scripts assert on the event; efstat
-/// surfaces the counter. (Histogram/counter names must be literals, hence
-/// the switch.)
+/// resolved in this process. fleet_smoke.py and test_obs_events assert on
+/// the event; efstat surfaces the counter. (Histogram/counter names must be
+/// literals, hence the switch.)
 void note_backend_selected(MatchBackend selected, bool avx2) {
 #if EVOFORECAST_OBS_ENABLED
   static std::atomic<unsigned> seen{0};

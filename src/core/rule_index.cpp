@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "obs/macros.hpp"
-#include "util/thread_pool.hpp"
-
 namespace ef::core {
 
 RuleIndex::RuleIndex(const RuleSystem& system, double value_lo, double value_hi,
@@ -84,39 +81,6 @@ core::Prediction RuleIndex::forecast(std::span<const double> window, Aggregation
     out.value = *value;
     out.bound = vote_bound(votes, *value);
   }
-  return out;
-}
-
-std::vector<core::Prediction> RuleIndex::forecast_batch(std::span<const double> flat_windows,
-                                                        std::size_t window, Aggregation how,
-                                                        util::ThreadPool* pool) const {
-  if (window == 0) {
-    throw std::invalid_argument("RuleIndex::forecast_batch: window must be > 0");
-  }
-  if (flat_windows.size() % window != 0) {
-    throw std::invalid_argument(
-        "RuleIndex::forecast_batch: flat_windows.size() not a multiple of window");
-  }
-  // An unselective index (candidate lists covering most of the rule set)
-  // filters almost nothing; the rule-outer vectorized batch path is faster
-  // and produces identical results, so hand over.
-  if (mean_candidates() >= 0.5 * static_cast<double>(system_.rules().size())) {
-    EVOFORECAST_COUNT("rule_index.batch_delegated", 1);
-    return system_.forecast_batch(flat_windows, window, how, pool);
-  }
-  const std::size_t n = flat_windows.size() / window;
-  EVOFORECAST_COUNT("predict.batch.calls", 1);
-  EVOFORECAST_HISTOGRAM("predict.batch.windows", static_cast<double>(n));
-  std::vector<core::Prediction> out(n);
-  util::ThreadPool& tp = pool ? *pool : util::ThreadPool::shared();
-  tp.parallel_for(
-      0, n,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          out[i] = forecast(flat_windows.subspan(i * window, window), how);
-        }
-      },
-      /*grain=*/16);
   return out;
 }
 

@@ -38,17 +38,6 @@ class RuleIndex {
   [[nodiscard]] core::Prediction forecast(std::span<const double> window,
                                           Aggregation how = Aggregation::kMean) const;
 
-  /// Batched indexed forecasts over `flat_windows.size() / window` row-major
-  /// packed windows, parallel over windows via `pool` (nullptr = shared
-  /// pool). Identical element-by-element to forecast(). When the index is
-  /// unselective (mean candidate list covering half the rules or more) this
-  /// delegates to RuleSystem::forecast_batch, whose rule-outer vectorized
-  /// kernels beat an ineffective bucket scan. Throws std::invalid_argument
-  /// on window == 0 or a size that is not a multiple of window.
-  [[nodiscard]] std::vector<core::Prediction> forecast_batch(
-      std::span<const double> flat_windows, std::size_t window,
-      Aggregation how = Aggregation::kMean, util::ThreadPool* pool = nullptr) const;
-
   /// Indexed vote count — identical to system.vote_count(window).
   [[nodiscard]] std::size_t vote_count(std::span<const double> window) const;
 

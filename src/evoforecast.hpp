@@ -34,7 +34,7 @@
 //   baselines/ comparator models (MLP, Elman, RAN, MRAN, AR(MA), k-NN,
 //              persistence, Holt-Winters)
 //
-// The serving layer (ef::serve — model store, micro-batcher, TCP service)
+// The serving layer (ef::serve — model store, window cache, TCP service)
 // is deliberately NOT included here: it spawns threads and opens sockets
 // that offline training/evaluation never needs. Opt in explicitly with
 // #include "evoforecast_serve.hpp".

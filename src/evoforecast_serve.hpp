@@ -1,7 +1,7 @@
 // evoforecast_serve.hpp — opt-in umbrella header for the serving layer.
 //
 // Deliberately separate from evoforecast.hpp: the serve layer spawns
-// threads (model-store poller, micro-batcher dispatcher, TCP accept loop)
+// threads (model-store poller, reactor event loops)
 // and pulls in sockets, which library consumers doing offline training and
 // evaluation never need. Include this header only in processes that host a
 // forecast service.
@@ -21,15 +21,13 @@
 // Layering (each header is also individually includable):
 //   model_store   named, versioned models with atomic hot-reload
 //   window_cache  sharded LRU over (model tag, horizon, agg, window)
-//   batcher       micro-batching of concurrent requests → forecast_batch
-//   service       validate → cache → batch → respond, one blocking call
+//   service       validate → cache → match → respond, one blocking call
 //   protocol      JSON-lines protocol encode/decode (v1 + v2 envelope)
 //   reactor       epoll reactor transport (pipelined JSON-lines over TCP)
 #pragma once
 
 #include "evoforecast.hpp"  // IWYU pragma: export
 
-#include "serve/batcher.hpp"       // IWYU pragma: export
 #include "serve/model_store.hpp"   // IWYU pragma: export
 #include "serve/protocol.hpp"      // IWYU pragma: export
 #include "serve/reactor.hpp"       // IWYU pragma: export

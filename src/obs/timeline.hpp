@@ -2,12 +2,12 @@
 //
 // The TraceRegistry (obs/trace.hpp) aggregates spans *per name*: it can say
 // that serve.request_us p99 spiked, but not whether one concrete slow
-// request burned its budget in queue wait, batch formation, the match
-// kernel, or the response path. The timeline layer keeps the individual
-// spans: every traced request gets a trace id, every span records
+// request burned its budget in model lookup, the cache, the match kernel,
+// or the response path. The timeline layer keeps the individual spans:
+// every traced request gets a trace id, every span records
 // {trace_id, span_id, parent_id, name, t_start, dur, arg}, and the whole
-// tree survives the batcher's thread hop because the TraceContext travels
-// with the request. Spans land in per-thread lock-free rings (seqlock
+// tree survives a thread hop because the TraceContext can travel with the
+// work. Spans land in per-thread lock-free rings (seqlock
 // slots, single writer per ring) and are exported on demand as Chrome
 // trace-event JSON (obs/timeline_export.hpp) loadable in Perfetto or
 // chrome://tracing.
@@ -120,9 +120,8 @@ class Timeline {
   [[nodiscard]] static std::int64_t now_us() noexcept;
 
   /// Record one completed span under `ctx` with explicit timestamps — the
-  /// retrospective form used across the batcher hop (queue wait is only
-  /// known once the batch is picked up). parent_id 0 means "under
-  /// ctx.span_id". Returns the new span id (0 when ctx is inactive).
+  /// retrospective form for work whose start is only known after the fact.
+  /// parent_id 0 means "under ctx.span_id". Returns the new span id (0 when ctx is inactive).
   static std::uint64_t emit(const TraceContext& ctx, const char* name,
                             std::int64_t t_start_us, std::int64_t t_end_us,
                             std::uint64_t parent_id = 0, const char* arg_key = nullptr,
@@ -182,8 +181,8 @@ class SpanScope {
   std::uint64_t parent_id_ = 0;
 };
 
-/// RAII adoption of a foreign context on this thread (the batcher hop, pool
-/// workers). Restores the previous context on destruction.
+/// RAII adoption of a foreign context on this thread (pool workers).
+/// Restores the previous context on destruction.
 class ContextGuard {
  public:
   explicit ContextGuard(const TraceContext& ctx) noexcept;

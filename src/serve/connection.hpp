@@ -3,16 +3,14 @@
 // A Connection is owned by exactly one reactor shard after accept
 // (shared-nothing): only that shard's thread touches it, so there are no
 // locks here. The class holds the protocol-visible state machine —
-// incremental line framing, the pipelining sequence numbers, and the
-// ordered write queue — while the Reactor owns the sockets and epoll
-// bookkeeping. Keeping the state machine syscall-free makes it directly
-// unit-testable (see test_serve_reactor).
+// incremental line framing and the ordered write queue — while the Reactor
+// owns the sockets and epoll bookkeeping. Keeping the state machine
+// syscall-free makes it directly unit-testable (see test_serve_reactor).
 //
-// Pipelining contract: every request line is assigned a monotonically
-// increasing sequence number at parse time; responses may complete in any
-// order (cache hits finish inline, batcher misses finish on the dispatcher
-// thread) but are released to the write queue strictly in sequence —
-// out-of-order completions park in `parked_` until their turn.
+// Pipelining contract: the reactor answers each request line inline, in the
+// order it was read, and appends the reply to the write queue — so replies
+// leave in request order by construction. The queue length (answered but
+// not yet fully written replies) is what ServeOptions::max_pipeline caps.
 //
 // Framing notes:
 //   * `scan_` remembers how far the newline scan has progressed, so a
@@ -26,7 +24,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <optional>
 #include <string>
 
@@ -84,34 +81,19 @@ class Connection {
 
   [[nodiscard]] bool has_buffered_input() const noexcept { return !rbuf_.empty(); }
 
-  // --- pipelining: sequence numbers + in-order release --------------------
-
-  /// Sequence number for the next request on this connection.
-  [[nodiscard]] std::uint64_t allocate_seq() noexcept { return next_seq_++; }
-
-  /// Requests assigned a sequence number whose response has not yet been
-  /// released to the write queue.
-  [[nodiscard]] std::size_t in_flight() const noexcept {
-    return static_cast<std::size_t>(next_seq_ - next_release_);
-  }
-
-  /// Deliver the response for `seq`. Releases it — and any consecutively
-  /// parked successors — to the write queue; out-of-order completions park
-  /// until their predecessors land.
-  void complete(std::uint64_t seq, std::string response) {
-    if (seq != next_release_) {
-      parked_.emplace(seq, std::move(response));
-      return;
-    }
-    release(std::move(response));
-    for (auto it = parked_.begin(); it != parked_.end() && it->first == next_release_;
-         it = parked_.erase(it)) {
-      release(std::move(it->second));
-    }
+  /// Drop everything still buffered (the connection answers nothing more).
+  void discard_input() noexcept {
+    rbuf_.clear();
+    scan_ = 0;
   }
 
   // --- write side: ordered output queue -----------------------------------
 
+  /// Queue the reply to the request line just read.
+  void respond(std::string response) { outq_.push_back(std::move(response)); }
+
+  /// Replies queued but not yet fully written to the socket.
+  [[nodiscard]] std::size_t queued() const noexcept { return outq_.size(); }
   [[nodiscard]] bool has_output() const noexcept { return !outq_.empty(); }
   [[nodiscard]] std::deque<std::string>& output() noexcept { return outq_; }
   /// Bytes of output().front() already written by a previous partial write.
@@ -132,11 +114,6 @@ class Connection {
     }
   }
 
-  /// Fully answered and flushed — nothing pending in either direction.
-  [[nodiscard]] bool idle() const noexcept {
-    return outq_.empty() && parked_.empty() && in_flight() == 0;
-  }
-
   // --- connection-scoped flags (reactor-managed) --------------------------
 
   /// HTTP carve-out: a "GET "/"HEAD " request line flips the connection into
@@ -144,28 +121,20 @@ class Connection {
   bool http_mode = false;
   std::string http_method;
   std::string http_path;
-  /// Close once the write queue drains and nothing is in flight (HTTP
-  /// Connection: close, fatal framing errors, graceful drain).
+  /// Read no more from the socket; answer the complete lines already
+  /// buffered, then close once the write queue drains (peer half-close,
+  /// HTTP Connection: close, graceful drain).
   bool close_after_flush = false;
-  /// EPOLLOUT currently armed (a prior write hit EAGAIN or was partial).
+  /// EPOLLIN currently armed (off at the pipeline cap and once closing).
+  bool want_read = true;
+  /// EPOLLOUT currently armed (a prior write hit EAGAIN).
   bool want_write = false;
-  /// EPOLLIN currently disarmed (pipeline cap reached — backpressure).
-  bool paused_read = false;
-  /// process_lines is on the stack for this connection: a nested inline
-  /// completion must release its response and return, not recurse back in
-  /// (the enclosing loop picks up the remaining buffered lines).
-  bool processing = false;
   /// fd closed and connection unlinked; the object survives in the shard's
   /// graveyard until the current epoll batch finishes, because a later
   /// event in the same batch may still carry this pointer.
   bool dead = false;
 
  private:
-  void release(std::string response) {
-    ++next_release_;
-    outq_.push_back(std::move(response));
-  }
-
   int fd_;
   std::uint64_t id_;
   std::size_t shard_;
@@ -173,10 +142,6 @@ class Connection {
   std::string rbuf_;
   std::size_t scan_ = 0;  ///< newline scan resumes here (slowloris-proof)
   bool overlong_ = false;
-
-  std::uint64_t next_seq_ = 0;      ///< next sequence number to assign
-  std::uint64_t next_release_ = 0;  ///< next sequence to release to the queue
-  std::map<std::uint64_t, std::string> parked_;  ///< out-of-order completions
 
   std::deque<std::string> outq_;
   std::size_t write_offset_ = 0;

@@ -32,11 +32,9 @@
 //   --cache-capacity N  prediction cache entries (default 65536; 0 = off)
 //   --cache-shards N    cache shards (default 8)
 //   --quantum X         cache window quantization grid (default 1e-9)
-//   --batch-max N       micro-batch size cap (default 64)
-//   --batch-delay-us N  micro-batch coalescing delay (default 200; 0 = no batching)
-//   --threads N         prediction thread-pool size (default: hardware)
 //   --reactor-threads N epoll reactor threads (default 0 = min(hardware, 4))
-//   --max-pipeline N    pipelined requests in flight per connection (default 1024)
+//   --max-pipeline N    unwritten replies queued per connection before the
+//                       reactor stops reading it (default 1024)
 //   --drain-timeout-ms N  graceful-drain budget on shutdown (default 5000)
 //   --slow-request-us X slow-request event threshold in µs (default 50000; 0 = off)
 //   --quality-ledger N  per-model prediction-ledger capacity for live
@@ -239,10 +237,6 @@ int main(int argc, char** argv) {
   }
   options.cache.shards = static_cast<std::size_t>(cli.get_int("cache-shards", 8));
   options.cache.quantum = cli.get_double("quantum", 1e-9);
-  const auto batch_delay_us = cli.get_int("batch-delay-us", 200);
-  options.enable_batcher = batch_delay_us > 0;
-  options.batcher.max_delay = std::chrono::microseconds(batch_delay_us);
-  options.batcher.max_batch = static_cast<std::size_t>(cli.get_int("batch-max", 64));
   options.slow_request_us = cli.get_double("slow-request-us", 50000.0);
   const auto quality_ledger = cli.get_int("quality-ledger", 1024);
   options.quality.enabled = quality_ledger > 0;
@@ -269,9 +263,7 @@ int main(int argc, char** argv) {
   }
   g_trace_out = cli.get_string("trace-out", "");
 
-  const auto threads = static_cast<std::size_t>(cli.get_int("threads", 0));
-  ef::util::ThreadPool pool(threads);
-  ef::serve::ForecastService service(store, options, &pool);
+  ef::serve::ForecastService service(store, options);
   if (!g_trace_out.empty() && !ef::obs::Timeline::enabled()) {
     ef::obs::Timeline::set_sample_rate(1.0);
   }
@@ -301,7 +293,7 @@ int main(int argc, char** argv) {
   EVOFORECAST_EVENT("serve.stop", {"connections", server.connections_served()});
   std::printf("\nshutting down: draining in-flight requests...\n");
   server.stop();        // graceful drain: answer what was received, flush, close
-  service.shutdown();   // then drain the batcher queue
+  service.shutdown();   // then refuse further predicts
   store.stop_polling();
   ef::obs::WindowedCollector::global().stop();
   std::printf("served %llu connections\n",

@@ -3,7 +3,7 @@
 // Pre-redesign, efserve grew a flag per knob and plumbed each one through a
 // different struct (ServiceConfig here, ServerConfig there, a Timeline call
 // in main). ServeOptions replaces all of that: one aggregate covering the
-// service pipeline (cache, batcher, limits, slow-request threshold, trace
+// service pipeline (cache, quality ledger, limits, slow-request threshold, trace
 // sampling) and the reactor transport (bind address, reactor threads,
 // framing and pipelining limits). ForecastService consumes the service
 // section; Reactor reads the transport section off the service it fronts —
@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <string>
 
-#include "serve/batcher.hpp"
 #include "serve/quality.hpp"
 #include "serve/window_cache.hpp"
 
@@ -26,10 +25,8 @@ namespace ef::serve {
 struct ServeOptions {
   // --- service pipeline ---------------------------------------------------
   CacheConfig cache;           ///< capacity / shards / quantization grid
-  BatcherConfig batcher;       ///< micro-batch size cap + coalescing delay
   QualityOptions quality;      ///< prediction ledger / accuracy / drift
   bool enable_cache = true;
-  bool enable_batcher = true;  ///< off = predict inline (lowest latency, no coalescing)
   std::size_t max_window = 4096;
   std::size_t max_horizon = 1024;
   /// Requests slower than this emit a serve.slow_request event and bump the
@@ -47,8 +44,10 @@ struct ServeOptions {
   std::size_t reactor_threads = 0;
   int backlog = 128;
   std::size_t max_line_bytes = 1 << 20;  ///< oversize request lines are rejected
-  /// Cap on pipelined requests in flight per connection; further lines stay
-  /// in the read buffer (natural backpressure) until responses drain.
+  /// Cap on answered-but-unwritten responses queued per connection. At the
+  /// cap the reactor stops reading: further lines stay in the read buffer
+  /// and the socket (natural backpressure) until the client reads enough
+  /// for the queue to drain below it.
   std::size_t max_pipeline = 1024;
   /// Test hook: SO_SNDBUF for accepted sockets (0 = OS default). Tiny
   /// values force the partial-write/EPOLLOUT path deterministically.

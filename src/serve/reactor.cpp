@@ -42,12 +42,6 @@ namespace {
 /// integers can never collide.
 void* const kListenTag = reinterpret_cast<void*>(0x1);
 void* const kWakeTag = reinterpret_cast<void*>(0x2);
-
-/// Clears Connection::processing on every exit from process_lines.
-struct ProcessingGuard {
-  bool& flag;
-  ~ProcessingGuard() { flag = false; }
-};
 #endif
 
 /// %.17g double for hand-built JSON; non-finite values become null (JSON
@@ -61,20 +55,13 @@ std::string json_number(double v) {
 
 }  // namespace
 
-/// One reactor shard: an epoll loop plus everything it owns. Only the inbox
-/// (accept handoffs, cross-thread completions) is shared — under `mutex`.
+/// One reactor shard: an epoll loop plus everything it owns. Only the
+/// accept-handoff inbox is shared — under `mutex`.
 struct Reactor::Shard {
-  struct Completion {
-    std::uint64_t conn_id = 0;
-    std::uint64_t seq = 0;
-    std::string line;
-  };
-
   std::size_t index = 0;
   int epoll_fd = -1;
   int wake_fd = -1;
   std::thread thread;
-  std::atomic<std::thread::id> thread_id{};
   std::unordered_map<std::uint64_t, std::unique_ptr<Connection>> conns;
   /// Connections closed mid-batch park here (see Connection::dead); freed
   /// once the current epoll batch is fully dispatched.
@@ -87,19 +74,17 @@ struct Reactor::Shard {
   bool listener_paused = false;
   std::chrono::steady_clock::time_point listener_resume{};
 
-  // Cross-thread inbox. `closed` flips (under the mutex) when the loop has
-  // exited and the fds are about to close — late completions check it and
-  // drop instead of writing to a recycled fd.
+  // Accept-handoff inbox. `closed` flips (under the mutex) when the loop has
+  // exited and the fds are about to close — a late handoff checks it and
+  // closes the accepted socket instead of queueing it on a dead shard.
   std::mutex mutex;
   bool closed = false;
   std::vector<int> pending_fds;
-  std::vector<Completion> inbox;
 
   // Per-reactor counters (serve.reactor.<i>.*). Null when observability is
   // compiled out — bump() is then a no-op and nothing registers.
   obs::Counter* accepted = nullptr;
   obs::Counter* requests = nullptr;
-  obs::Counter* completions = nullptr;
   obs::Counter* wakeups = nullptr;
   obs::Counter* partial_writes = nullptr;
   void register_counters() {
@@ -108,7 +93,6 @@ struct Reactor::Shard {
     auto& reg = obs::Registry::global();
     accepted = &reg.counter(prefix + "accepted");
     requests = &reg.counter(prefix + "requests");
-    completions = &reg.counter(prefix + "completions");
     wakeups = &reg.counter(prefix + "wakeups");
     partial_writes = &reg.counter(prefix + "partial_writes");
 #endif
@@ -173,7 +157,7 @@ void Reactor::start() {
 
   shards_.clear();
   for (std::size_t i = 0; i < n; ++i) {
-    auto shard = std::make_shared<Shard>();
+    auto shard = std::make_unique<Shard>();
     shard->index = i;
     shard->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
     shard->wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
@@ -249,16 +233,13 @@ void Reactor::enter_drain(Shard& shard) {
   conns.reserve(shard.conns.size());
   for (auto& [id, conn] : shard.conns) conns.push_back(conn.get());
   for (Connection* conn : conns) {
-    conn->paused_read = true;
     conn->close_after_flush = true;
-    update_interest(shard, conn);
     process_lines(shard, conn);
-    flush(shard, conn);  // closes the connection once it is idle
+    flush(shard, conn);  // disarms reading; closes the connection once idle
   }
 }
 
 void Reactor::shard_loop(Shard& shard) {
-  shard.thread_id.store(std::this_thread::get_id(), std::memory_order_release);
   epoll_event events[64];
   for (;;) {
     if (draining_.load(std::memory_order_acquire) && !shard.drain_entered) {
@@ -339,8 +320,8 @@ void Reactor::shard_loop(Shard& shard) {
     // closed connection, so the graveyard is safe to free.
     shard.graveyard.clear();
   }
-  // Loop exited: mark the shard closed so late cross-thread completions
-  // drop instead of touching fds that are about to be recycled.
+  // Loop exited: mark the shard closed so a late accept handoff closes its
+  // socket instead of queueing it here.
   const std::lock_guard lock(shard.mutex);
   shard.closed = true;
 }
@@ -412,11 +393,9 @@ void Reactor::adopt(Shard& shard, int fd) {
 
 void Reactor::drain_inbox(Shard& shard) {
   std::vector<int> fds;
-  std::vector<Shard::Completion> inbox;
   {
     const std::lock_guard lock(shard.mutex);
     fds.swap(shard.pending_fds);
-    inbox.swap(shard.inbox);
   }
   for (const int fd : fds) {
     if (draining_.load(std::memory_order_acquire)) {
@@ -424,14 +403,6 @@ void Reactor::drain_inbox(Shard& shard) {
     } else {
       adopt(shard, fd);
     }
-  }
-  for (Shard::Completion& c : inbox) {
-    const auto it = shard.conns.find(c.conn_id);
-    if (it == shard.conns.end()) continue;  // connection closed while in flight
-    Shard::bump(shard.completions);
-    Connection* conn = it->second.get();
-    complete_local(shard, conn, c.seq, std::move(c.line));
-    flush(shard, conn);
   }
 }
 
@@ -446,10 +417,8 @@ void Reactor::handle_readable(Shard& shard, Connection* conn) {
     }
     if (n == 0) {
       // Peer finished sending. Answer everything received, then close once
-      // the write queue drains (pipelined requests may still be in flight).
-      conn->paused_read = true;
+      // the write queue drains (flush disarms reading).
       conn->close_after_flush = true;
-      update_interest(shard, conn);
       break;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
@@ -462,42 +431,21 @@ void Reactor::handle_readable(Shard& shard, Connection* conn) {
 }
 
 void Reactor::process_lines(Shard& shard, Connection* conn) {
-  // Re-entry guard: with reads paused (EOF half-close, drain) an inline
-  // predict completion lands in complete_local while this loop is on the
-  // stack; recursing back in here would nest one stack frame per buffered
-  // line — a remotely triggerable stack overflow for a client that
-  // pipelines thousands of lines and then shutdown(SHUT_WR). The enclosing
-  // loop already consumes the remaining buffered lines.
-  if (conn->processing) return;
-  conn->processing = true;
-  const ProcessingGuard guard{conn->processing};
-  for (;;) {
-    if (conn->in_flight() >= options_.max_pipeline) {
-      // Backpressure: further lines stay in the read buffer (and the
-      // socket) until responses drain; complete_local resumes us.
-      if (!conn->paused_read) {
-        conn->paused_read = true;
-        update_interest(shard, conn);
-      }
-      return;
-    }
+  // Stops at the pipeline cap: further lines wait in the read buffer (and
+  // the socket) until flush() drains the write queue below it.
+  while (conn->queued() < options_.max_pipeline) {
     std::optional<std::string> line = conn->next_line(options_.max_line_bytes);
     if (!line) return;
     if (conn->take_overlong()) {
-      conn->complete(conn->allocate_seq(),
-                     error_json(ErrorCode::kLineTooLong, "request line too long") + "\n");
+      conn->respond(error_json(ErrorCode::kLineTooLong, "request line too long") + "\n");
       continue;
     }
     if (conn->http_mode) {
       if (!line->empty()) continue;  // header line; swallow
       // Blank line ends the headers: answer and close (Connection: close).
-      conn->complete(conn->allocate_seq(),
-                     handle_http(conn->http_method, conn->http_path));
+      conn->respond(handle_http(conn->http_method, conn->http_path));
       conn->close_after_flush = true;
-      if (!conn->paused_read) {
-        conn->paused_read = true;
-        update_interest(shard, conn);
-      }
+      conn->discard_input();
       return;
     }
     if (line->empty()) continue;
@@ -516,72 +464,35 @@ void Reactor::process_lines(Shard& shard, Connection* conn) {
 }
 
 void Reactor::handle_request(Shard& shard, Connection* conn, const std::string& line) {
-  const std::uint64_t seq = conn->allocate_seq();
   Shard::bump(shard.requests);
 
   ProtocolError perr;
   const std::optional<Request> request = parse_request(line, perr);
   if (!request) {
-    conn->complete(seq, error_json(perr) + "\n");
+    conn->respond(error_json(perr) + "\n");
     return;
   }
   if (request->cmd != Request::Cmd::kPredict) {
-    conn->complete(seq, handle_verb(*request) + "\n");
+    conn->respond(handle_verb(*request) + "\n");
     return;
   }
-
-  // Predict: hand off without blocking. The completion may run inline (on
-  // this thread — cache hits, validation errors) or on the batcher's
-  // dispatcher thread; the weak_ptr keeps a late completion from touching
-  // a shard whose loop has exited.
-  Request envelope;
-  envelope.version = request->version;
-  envelope.id_json = request->id_json;
-  const std::uint64_t conn_id = conn->id();
-  std::weak_ptr<Shard> weak = shards_[shard.index];
-  service_.predict_async(
-      request->predict,
-      [this, weak = std::move(weak), conn_id, seq,
-       envelope = std::move(envelope)](PredictResponse response) {
-        std::string out = to_json(response, envelope);
-        out.push_back('\n');
-        const std::shared_ptr<Shard> locked = weak.lock();
-        if (!locked) return;
-        if (std::this_thread::get_id() ==
-            locked->thread_id.load(std::memory_order_acquire)) {
-          // Inline completion on the owning reactor thread: the enclosing
-          // read handler flushes after line processing.
-          const auto it = locked->conns.find(conn_id);
-          if (it != locked->conns.end()) {
-            complete_local(*locked, it->second.get(), seq, std::move(out));
-          }
-          return;
-        }
-        const std::lock_guard lock(locked->mutex);
-        if (locked->closed) return;  // shard already shut down; drop
-        locked->inbox.push_back({conn_id, seq, std::move(out)});
-        std::uint64_t wake = 1;
-        [[maybe_unused]] const ssize_t w = ::write(locked->wake_fd, &wake, sizeof(wake));
-      });
-}
-
-void Reactor::complete_local(Shard& shard, Connection* conn, std::uint64_t seq,
-                             std::string line) {
-  conn->complete(seq, std::move(line));
-  if (conn->paused_read && conn->in_flight() < options_.max_pipeline) {
-    if (!conn->close_after_flush) {
-      conn->paused_read = false;
-      update_interest(shard, conn);
-    }
-    // Lines that were waiting on the pipeline cap (or buffered before a
-    // drain began) are ready now. When process_lines is already on the
-    // stack (inline completion) its loop picks them up — don't recurse.
-    if (conn->has_buffered_input() && !conn->processing) process_lines(shard, conn);
-  }
+  std::string out = to_json(service_.predict(request->predict), *request);
+  out.push_back('\n');
+  conn->respond(std::move(out));
 }
 
 bool Reactor::flush(Shard& shard, Connection* conn) {
-  while (conn->has_output()) {
+  bool blocked = false;  // send buffer full; EPOLLOUT resumes the write
+  while (!blocked) {
+    if (!conn->has_output()) {
+      // Queue drained: answer the lines that waited in the read buffer on the
+      // pipeline cap. This loop is the only way back into process_lines,
+      // which never flushes, so a deep pipeline costs iterations, not stack
+      // frames.
+      if (!conn->has_buffered_input()) break;
+      process_lines(shard, conn);
+      if (!conn->has_output()) break;  // only a partial line is buffered
+    }
     iovec iov[16];
     int count = 0;
     std::size_t total = 0;
@@ -606,11 +517,8 @@ bool Reactor::flush(Shard& shard, Connection* conn) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
         Shard::bump(shard.partial_writes);
-        if (!conn->want_write) {
-          conn->want_write = true;
-          update_interest(shard, conn);
-        }
-        return true;
+        blocked = true;
+        break;
       }
       close_connection(shard, conn);
       return false;
@@ -618,13 +526,15 @@ bool Reactor::flush(Shard& shard, Connection* conn) {
     conn->consume_output(static_cast<std::size_t>(w));
     if (static_cast<std::size_t>(w) < total) Shard::bump(shard.partial_writes);
   }
-  if (conn->want_write) {
-    conn->want_write = false;
-    update_interest(shard, conn);
-  }
-  if (conn->close_after_flush && conn->idle()) {
+  if (conn->close_after_flush && !conn->has_output()) {
     close_connection(shard, conn);
     return false;
+  }
+  const bool want_read = !conn->close_after_flush && conn->queued() < options_.max_pipeline;
+  if (want_read != conn->want_read || blocked != conn->want_write) {
+    conn->want_read = want_read;
+    conn->want_write = blocked;
+    update_interest(shard, conn);
   }
   return true;
 }
@@ -647,7 +557,7 @@ void Reactor::close_connection(Shard& shard, Connection* conn) {
 void Reactor::update_interest(Shard& shard, Connection* conn) {
   epoll_event ev{};
   ev.events = 0;
-  if (!conn->paused_read) ev.events |= EPOLLIN;
+  if (conn->want_read) ev.events |= EPOLLIN;
   if (conn->want_write) ev.events |= EPOLLOUT;
   ev.data.ptr = conn;
   ::epoll_ctl(shard.epoll_fd, EPOLL_CTL_MOD, conn->fd(), &ev);
@@ -667,7 +577,6 @@ void Reactor::drain_inbox(Shard&) {}
 void Reactor::handle_readable(Shard&, Connection*) {}
 void Reactor::process_lines(Shard&, Connection*) {}
 void Reactor::handle_request(Shard&, Connection*, const std::string&) {}
-void Reactor::complete_local(Shard&, Connection*, std::uint64_t, std::string) {}
 bool Reactor::flush(Shard&, Connection*) { return false; }
 void Reactor::close_connection(Shard&, Connection*) {}
 void Reactor::update_interest(Shard&, Connection*) {}

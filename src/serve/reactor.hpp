@@ -9,13 +9,13 @@
 // state (serve/connection.hpp) needs no locks.
 //
 // Requests are pipelined: a client may write any number of request lines
-// without waiting; responses come back strictly in request order
-// (per-connection sequence numbers reorder out-of-order completions).
-// The predict path never blocks a reactor thread — cache hits and errors
-// complete inline, batcher misses complete on the micro-batcher's
-// dispatcher thread and are marshalled back to the owning shard through
-// its inbox. Replies are written with writev over the ordered queue;
-// partial writes arm EPOLLOUT and resume when the socket drains.
+// without waiting. The owning shard answers each line inline — a forecast
+// is one pass over the model's rules — and queues the reply, so responses
+// come back in request order by construction. Replies are written with
+// writev over the ordered queue; partial writes arm EPOLLOUT and resume when
+// the socket drains. Backpressure: once ServeOptions::max_pipeline replies
+// sit unwritten (the client is not reading), the shard stops reading that
+// connection until the queue drains below the cap.
 //
 // The HTTP carve-out survives from the thread-per-connection server: a
 // "GET "/"HEAD " request line flips the connection into single-shot HTTP
@@ -26,11 +26,11 @@
 // request already received (buffered lines included), flushes, then closes
 // — bounded by ServeOptions::drain_timeout_ms, after which stragglers are
 // force-closed. Call stop() (or destroy the Reactor) BEFORE
-// ForecastService::shutdown(), so in-flight batcher completions still find
-// the service running while the reactor drains.
+// ForecastService::shutdown(), so the buffered requests the drain answers
+// still find the service running.
 //
 // Observability: each shard registers serve.reactor.<i>.* counters
-// (accepted, requests, completions, wakeups, partial_writes) next to the
+// (accepted, requests, wakeups, partial_writes) next to the
 // aggregate serve.* family. Linux-only (epoll); start() throws elsewhere.
 #pragma once
 
@@ -89,12 +89,8 @@ class Reactor {
   /// Full HTTP/1.0 response for the GET/HEAD carve-out (Connection: close).
   [[nodiscard]] static std::string handle_http(std::string_view method,
                                                std::string_view path);
-  /// Deliver `seq`'s response on the owning thread and unblock a
-  /// pipeline-capped read side. Never flushes (callers flush once per
-  /// event, outside line processing).
-  void complete_local(Shard& shard, Connection* conn, std::uint64_t seq,
-                      std::string line);
-  /// writev the ordered queue; arms/disarms EPOLLOUT. Returns false when
+  /// writev the ordered queue, answering lines that waited on the pipeline
+  /// cap as it drains; arms/disarms EPOLLIN and EPOLLOUT. Returns false when
   /// the connection was closed (write error or close-after-flush drained).
   bool flush(Shard& shard, Connection* conn);
   void close_connection(Shard& shard, Connection* conn);
@@ -109,10 +105,7 @@ class Reactor {
   std::atomic<std::uint64_t> connections_{0};
   std::atomic<std::uint64_t> next_conn_id_{1};
   std::atomic<std::size_t> rr_next_{0};
-  /// shared_ptr so in-flight batcher completions (holding weak_ptrs) can
-  /// outlive stop() safely; the `closed` flag inside each shard gates its
-  /// fds once the loop has exited.
-  std::vector<std::shared_ptr<Shard>> shards_;
+  std::vector<std::unique_ptr<Shard>> shards_;
 };
 
 }  // namespace ef::serve

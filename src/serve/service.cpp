@@ -64,38 +64,17 @@ void fail_response(PredictResponse& response, ErrorCode code, std::string reason
   response.error = std::move(reason);
 }
 
-/// Unwrap the batch kernel's exception into an internal-error response.
-void fail_from_exception(PredictResponse& response, const std::exception_ptr& error) {
-  try {
-    std::rethrow_exception(error);
-  } catch (const std::exception& e) {
-    fail_response(response, ErrorCode::kInternal,
-                  std::string("prediction failed: ") + e.what());
-  } catch (...) {
-    fail_response(response, ErrorCode::kInternal, "prediction failed");
-  }
-}
-
 }  // namespace
 
-ForecastService::ForecastService(ModelStore& store, ServeOptions options,
-                                 util::ThreadPool* pool)
-    : store_(store), options_(std::move(options)), pool_(pool), cache_(options_.cache) {
+ForecastService::ForecastService(ModelStore& store, ServeOptions options)
+    : store_(store), options_(std::move(options)), cache_(options_.cache) {
   if (options_.trace_sample >= 0.0) obs::Timeline::set_sample_rate(options_.trace_sample);
-  if (options_.enable_batcher) {
-    batcher_ = std::make_unique<MicroBatcher>(options_.batcher, pool_);
-  }
   if (options_.quality.enabled && options_.quality.ledger_capacity > 0) {
     quality_ = std::make_unique<QualityTracker>(options_.quality);
   }
 }
 
-ForecastService::~ForecastService() { shutdown(); }
-
-void ForecastService::shutdown() {
-  accepting_.store(false, std::memory_order_release);
-  if (batcher_) batcher_->shutdown();
-}
+void ForecastService::shutdown() { accepting_.store(false, std::memory_order_release); }
 
 bool ForecastService::accepting() const noexcept {
   return accepting_.load(std::memory_order_acquire);
@@ -141,12 +120,7 @@ std::shared_ptr<const LoadedModel> ForecastService::prepare(const PredictRequest
 core::Prediction ForecastService::predict_uncached(
     const std::shared_ptr<const LoadedModel>& model, const PredictRequest& request) {
   if (request.horizon == 1) {
-    if (batcher_) {
-      // The queue/batch/match spans for this path are emitted by the
-      // batcher's dispatcher thread under this request's trace context.
-      return batcher_->submit(model, request.window, request.agg).get();
-    }
-    obs::SpanScope match("serve.match");
+    const obs::SpanScope match("serve.match");
     return model->forecast(request.window, request.agg);
   }
 
@@ -172,9 +146,8 @@ core::Prediction ForecastService::predict_uncached(
 }
 
 PredictResponse ForecastService::predict(const PredictRequest& request) {
-  // Root timeline span: every span below (including those emitted by the
-  // batcher's dispatcher thread) shares this request's trace id. One relaxed
-  // atomic load when tracing is off.
+  // Root timeline span: every span below shares this request's trace id.
+  // One relaxed atomic load when tracing is off.
   const obs::TraceScope trace("serve.request");
   const auto start = std::chrono::steady_clock::now();
   EVOFORECAST_COUNT("serve.requests", 1);
@@ -185,185 +158,39 @@ PredictResponse ForecastService::predict(const PredictRequest& request) {
 
   const bool use_cache = options_.enable_cache && request.use_cache;
   WindowCache::Key key;
+  std::optional<WindowCache::Value> answer;
   if (use_cache) {
-    std::optional<WindowCache::Value> hit;
-    {
-      obs::SpanScope cache_span("serve.cache");
-      key = cache_.make_key(model->tag(), static_cast<std::uint32_t>(request.horizon),
-                            request.agg, request.window);
-      hit = cache_.get(key);
-      cache_span.set_arg("hit", hit ? 1.0 : 0.0);
-    }
-    if (hit) {
-      const obs::SpanScope respond("serve.respond");
-      response.ok = true;
-      response.cached = true;
-      response.abstain = hit->abstain;
-      response.value = hit->value;
-      response.bound = hit->bound;
-      response.votes = hit->votes;
-      if (hit->abstain) EVOFORECAST_COUNT("serve.abstentions", 1);
-      finish_request(options_, request, response, start, trace.trace_id(),
-                     quality_.get());
+    obs::SpanScope cache_span("serve.cache");
+    key = cache_.make_key(model->tag(), static_cast<std::uint32_t>(request.horizon),
+                          request.agg, request.window);
+    answer = cache_.get(key);
+    cache_span.set_arg("hit", answer ? 1.0 : 0.0);
+  }
+  response.cached = answer.has_value();
+  if (!answer) {
+    core::Prediction result;
+    try {
+      result = predict_uncached(model, request);
+    } catch (const std::exception& e) {
+      fail_response(response, ErrorCode::kInternal,
+                    std::string("prediction failed: ") + e.what());
       return response;
     }
-  }
-
-  core::Prediction result;
-  try {
-    result = predict_uncached(model, request);
-  } catch (const std::exception& e) {
-    fail_response(response, ErrorCode::kInternal,
-                  std::string("prediction failed: ") + e.what());
-    return response;
+    answer = WindowCache::Value{result.abstained, result.value,
+                                static_cast<std::uint32_t>(result.votes),
+                                result.abstained ? -1.0 : result.bound};
+    if (use_cache) cache_.put(std::move(key), *answer);
   }
 
   const obs::SpanScope respond("serve.respond");
   response.ok = true;
-  response.abstain = result.abstained;
-  response.value = result.value;
-  response.bound = result.abstained ? -1.0 : result.bound;
-  response.votes = result.votes;
+  response.abstain = answer->abstain;
+  response.value = answer->value;
+  response.bound = answer->bound;
+  response.votes = answer->votes;
   if (response.abstain) EVOFORECAST_COUNT("serve.abstentions", 1);
-
-  if (use_cache) {
-    WindowCache::Value cached;
-    cached.abstain = response.abstain;
-    cached.value = response.value;
-    cached.bound = response.bound;
-    cached.votes = static_cast<std::uint32_t>(response.votes);
-    cache_.put(std::move(key), cached);
-  }
-
   finish_request(options_, request, response, start, trace.trace_id(), quality_.get());
   return response;
-}
-
-void ForecastService::predict_async(const PredictRequest& request, PredictCallback done) {
-  // The root serve.request span covers the submit portion (validation,
-  // cache probe, batcher handoff); for batched misses the downstream spans
-  // (serve.queue/batch/match, the retrospective serve.respond) attach to
-  // the same trace via the captured context, and end-to-end latency is
-  // measured from `start` in the completion.
-  const obs::TraceScope trace("serve.request");
-  const auto start = std::chrono::steady_clock::now();
-  EVOFORECAST_COUNT("serve.requests", 1);
-
-  PredictResponse response;
-  const std::shared_ptr<const LoadedModel> model = prepare(request, response);
-  if (!model) {
-    done(std::move(response));
-    return;
-  }
-
-  const bool use_cache = options_.enable_cache && request.use_cache;
-  WindowCache::Key key;
-  if (use_cache) {
-    std::optional<WindowCache::Value> hit;
-    {
-      obs::SpanScope cache_span("serve.cache");
-      key = cache_.make_key(model->tag(), static_cast<std::uint32_t>(request.horizon),
-                            request.agg, request.window);
-      hit = cache_.get(key);
-      cache_span.set_arg("hit", hit ? 1.0 : 0.0);
-    }
-    if (hit) {
-      const obs::SpanScope respond("serve.respond");
-      response.ok = true;
-      response.cached = true;
-      response.abstain = hit->abstain;
-      response.value = hit->value;
-      response.bound = hit->bound;
-      response.votes = hit->votes;
-      if (hit->abstain) EVOFORECAST_COUNT("serve.abstentions", 1);
-      finish_request(options_, request, response, start, trace.trace_id(),
-                     quality_.get());
-      done(std::move(response));
-      return;
-    }
-  }
-
-  if (request.horizon == 1 && batcher_) {
-    // Miss on the batched path: hand off without blocking. The completion
-    // runs on the batcher's dispatcher thread; it adopts the request's
-    // trace context so the cache fill and epilogue land in the right trace.
-    const obs::TraceContext ctx = trace.context();
-    try {
-      batcher_->submit_async(
-          model, request.window, request.agg,
-          [this, request, response = std::move(response), use_cache,
-           key = std::move(key), start, ctx, done = std::move(done)](
-              core::Prediction result, std::exception_ptr error) mutable {
-            const obs::ContextGuard guard(ctx);
-            if (error) {
-              fail_from_exception(response, error);
-              done(std::move(response));
-              return;
-            }
-            const std::int64_t t_respond_us =
-                ctx.active() ? obs::Timeline::now_us() : 0;
-            response.ok = true;
-            response.abstain = result.abstained;
-            response.value = result.value;
-            response.bound = result.abstained ? -1.0 : result.bound;
-            response.votes = result.votes;
-            if (response.abstain) EVOFORECAST_COUNT("serve.abstentions", 1);
-            if (use_cache) {
-              WindowCache::Value cached;
-              cached.abstain = response.abstain;
-              cached.value = response.value;
-              cached.bound = response.bound;
-              cached.votes = static_cast<std::uint32_t>(response.votes);
-              cache_.put(std::move(key), cached);
-            }
-            if (ctx.active()) {
-              obs::Timeline::emit(ctx, "serve.respond", t_respond_us,
-                                  obs::Timeline::now_us());
-            }
-            finish_request(options_, request, response, start, ctx.trace_id,
-                           quality_.get());
-            done(std::move(response));
-          });
-    } catch (const std::exception&) {
-      // Batcher refused: shutdown raced the accepting() check above.
-      fail_response(response, ErrorCode::kShuttingDown, "service shutting down");
-      done(std::move(response));
-    }
-    return;
-  }
-
-  // Multi-step chain (or batcher disabled): runs inline on the calling
-  // thread — an iterated chain is inherently serial, so there is nothing to
-  // coalesce and the reactor accepts the latency hit knowingly.
-  core::Prediction result;
-  try {
-    result = predict_uncached(model, request);
-  } catch (const std::exception& e) {
-    fail_response(response, ErrorCode::kInternal,
-                  std::string("prediction failed: ") + e.what());
-    done(std::move(response));
-    return;
-  }
-
-  const obs::SpanScope respond("serve.respond");
-  response.ok = true;
-  response.abstain = result.abstained;
-  response.value = result.value;
-  response.bound = result.abstained ? -1.0 : result.bound;
-  response.votes = result.votes;
-  if (response.abstain) EVOFORECAST_COUNT("serve.abstentions", 1);
-
-  if (use_cache) {
-    WindowCache::Value cached;
-    cached.abstain = response.abstain;
-    cached.value = response.value;
-    cached.bound = response.bound;
-    cached.votes = static_cast<std::uint32_t>(response.votes);
-    cache_.put(std::move(key), cached);
-  }
-
-  finish_request(options_, request, response, start, trace.trace_id(), quality_.get());
-  done(std::move(response));
 }
 
 }  // namespace ef::serve

@@ -1,20 +1,16 @@
 // serve/service.hpp — the in-process forecast service.
 //
 // ForecastService is the complete serving pipeline: validate → cache
-// lookup → micro-batched (or iterated multi-step) prediction → cache fill →
-// instrumented response. It owns the cache and the batcher but only borrows
-// the ModelStore, so several services (or a service plus an offline
-// evaluator) can share one store. Tests drive this API directly — no
-// sockets involved; the epoll reactor in serve/reactor.hpp is a
-// line-protocol front end over it.
+// lookup → one-step (or iterated multi-step) prediction → cache fill →
+// instrumented response. It owns the cache but only borrows the ModelStore,
+// so several services (or a service plus an offline evaluator) can share one
+// store. Tests drive this API directly — no sockets involved; the epoll
+// reactor in serve/reactor.hpp is a line-protocol front end over it.
 //
-// Two call shapes:
-//   predict(request)            — blocking; coalesced by the micro-batcher.
-//   predict_async(request, cb)  — never blocks the calling thread. Errors
-//       and cache hits complete inline (cb runs before the call returns);
-//       batcher misses complete later on the batcher's dispatcher thread.
-//       This is what lets one reactor thread keep thousands of pipelined
-//       requests in flight.
+// predict() runs the whole pipeline on the calling thread. A cache miss is
+// one pass over the model's rules (§3 of the paper: the mean over the rules
+// whose intervals match the window), cheap enough that each reactor shard
+// answers its requests inline and in order.
 //
 // Abstention semantics follow the paper: a window matched by no rule gets
 // an explicit "abstain" response, never a fabricated value. Multi-step
@@ -26,19 +22,16 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/aggregation.hpp"
 #include "core/prediction.hpp"
-#include "serve/batcher.hpp"
 #include "serve/error.hpp"
 #include "serve/model_store.hpp"
 #include "serve/options.hpp"
 #include "serve/window_cache.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ef::serve {
 
@@ -70,30 +63,17 @@ struct PredictResponse {
 
 class ForecastService {
  public:
-  /// Invoked exactly once per predict_async call — inline for errors, cache
-  /// hits and multi-step chains, or on the batcher's dispatcher thread for
-  /// batched misses. Must be cheap and non-blocking in the latter case.
-  using PredictCallback = std::function<void(PredictResponse)>;
-
-  explicit ForecastService(ModelStore& store, ServeOptions options = {},
-                           util::ThreadPool* pool = nullptr);
-  ~ForecastService();
+  explicit ForecastService(ModelStore& store, ServeOptions options = {});
 
   ForecastService(const ForecastService&) = delete;
   ForecastService& operator=(const ForecastService&) = delete;
 
-  /// One blocking forecast. Thread-safe; concurrent callers are coalesced
-  /// by the micro-batcher. Never throws for bad requests — returns
-  /// ok=false with a code + reason instead (the protocol layer forwards it).
+  /// One forecast, computed on the calling thread. Thread-safe. Never throws
+  /// for bad requests — returns ok=false with a code + reason instead (the
+  /// protocol layer forwards it).
   [[nodiscard]] PredictResponse predict(const PredictRequest& request);
 
-  /// Non-blocking forecast: validation failures, cache hits and multi-step
-  /// chains invoke `done` before returning; single-step cache misses hand
-  /// off to the micro-batcher and invoke `done` from its dispatcher thread.
-  void predict_async(const PredictRequest& request, PredictCallback done);
-
-  /// Drain in-flight batches and refuse further predicts (graceful
-  /// shutdown). Idempotent.
+  /// Refuse further predicts (graceful shutdown). Idempotent.
   void shutdown();
   [[nodiscard]] bool accepting() const noexcept;
 
@@ -107,8 +87,8 @@ class ForecastService {
   [[nodiscard]] const QualityTracker* quality() const noexcept { return quality_.get(); }
 
  private:
-  /// Validation + model lookup shared by both call shapes. Returns the
-  /// model on success; fills `response` (ok=false, code, error) on failure.
+  /// Validation + model lookup. Returns the model on success; fills
+  /// `response` (ok=false, code, error) on failure.
   [[nodiscard]] std::shared_ptr<const LoadedModel> prepare(
       const PredictRequest& request, PredictResponse& response);
   [[nodiscard]] core::Prediction predict_uncached(
@@ -116,9 +96,7 @@ class ForecastService {
 
   ModelStore& store_;
   ServeOptions options_;
-  util::ThreadPool* pool_;
   WindowCache cache_;
-  std::unique_ptr<MicroBatcher> batcher_;  ///< null when enable_batcher = false
   std::unique_ptr<QualityTracker> quality_;  ///< null when quality disabled
   std::atomic<bool> accepting_{true};
 };

@@ -22,7 +22,7 @@
 //                    clearing; combine with --once for scripting)
 //   --trace          fetch the server's request timeline ({"cmd":"trace"})
 //                    and print a per-request latency breakdown table
-//                    (queue / batch / cache / match / respond), then exit
+//                    (cache / match / respond), then exit
 //   --trace-rows N   max requests shown in --trace mode (default 20)
 #include <algorithm>
 #include <cctype>
@@ -421,8 +421,6 @@ struct TraceRow {
   std::uint64_t trace_id = 0;
   double ts = 0.0;        ///< earliest span start (µs, server timeline clock)
   double total_us = 0.0;  ///< serve.request root span duration
-  double queue_us = 0.0;
-  double batch_us = 0.0;
   double cache_us = 0.0;
   double match_us = 0.0;
   double respond_us = 0.0;
@@ -492,8 +490,6 @@ int run_trace_mode(Client& client, std::size_t max_rows) {
     ++row.spans;
     if (row.spans == 1 || ts < row.ts) row.ts = ts;
     if (*name == "serve.request") row.total_us += dur;
-    else if (*name == "serve.queue") row.queue_us += dur;
-    else if (*name == "serve.batch") row.batch_us += dur;
     else if (*name == "serve.cache") row.cache_us += dur;
     else if (*name == "serve.match") row.match_us += dur;
     else if (*name == "serve.respond") row.respond_us += dur;
@@ -518,29 +514,25 @@ int run_trace_mode(Client& client, std::size_t max_rows) {
             [](const TraceRow* a, const TraceRow* b) { return a->ts > b->ts; });
   const std::size_t shown = std::min(order.size(), max_rows);
 
-  std::printf("  %-12s %9s %9s %9s %9s %9s %9s  %s\n", "trace", "total", "queue",
-              "batch", "cache", "match", "respond", "flags");
+  std::printf("  %-12s %9s %9s %9s %9s  %s\n", "trace", "total", "cache", "match",
+              "respond", "flags");
   TraceRow mean;
   for (std::size_t i = 0; i < order.size(); ++i) {
     const TraceRow& row = *order[i];
     mean.total_us += row.total_us;
-    mean.queue_us += row.queue_us;
-    mean.batch_us += row.batch_us;
     mean.cache_us += row.cache_us;
     mean.match_us += row.match_us;
     mean.respond_us += row.respond_us;
     if (i >= shown) continue;
-    std::printf("  %-12llu %9.1f %9.1f %9.1f %9.1f %9.1f %9.1f  %s\n",
-                static_cast<unsigned long long>(row.trace_id), row.total_us,
-                row.queue_us, row.batch_us, row.cache_us, row.match_us, row.respond_us,
-                row.slow_us > 0.0 ? "slow" : "");
+    std::printf("  %-12llu %9.1f %9.1f %9.1f %9.1f  %s\n",
+                static_cast<unsigned long long>(row.trace_id), row.total_us, row.cache_us,
+                row.match_us, row.respond_us, row.slow_us > 0.0 ? "slow" : "");
   }
   const auto n = static_cast<double>(order.size());
   if (n > 0.0) {
-    std::printf("  %-12s %9.1f %9.1f %9.1f %9.1f %9.1f %9.1f  (us, mean of %zu)\n",
-                "mean", mean.total_us / n, mean.queue_us / n, mean.batch_us / n,
-                mean.cache_us / n, mean.match_us / n, mean.respond_us / n,
-                order.size());
+    std::printf("  %-12s %9.1f %9.1f %9.1f %9.1f  (us, mean of %zu)\n", "mean",
+                mean.total_us / n, mean.cache_us / n, mean.match_us / n,
+                mean.respond_us / n, order.size());
   }
   if (order.size() > shown) {
     std::printf("  ... %zu more (raise --trace-rows)\n", order.size() - shown);

@@ -1,7 +1,6 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <exception>
 #include <string>
@@ -91,9 +90,13 @@ void ThreadPool::parallel_for_impl(std::size_t begin, std::size_t end,
   const std::size_t chunks = std::min(workers_.size(), max_chunks);
   const std::size_t width = (n + chunks - 1) / chunks;
 
-  std::atomic<std::size_t> remaining{chunks};
+  // Completion state lives on this stack frame. A chunk must finish touching
+  // it before the caller may return, so the countdown, the error slot and
+  // the notify all happen under done_mutex: the caller's wait cannot observe
+  // remaining == 0 until the last chunk has released the lock, so no worker
+  // touches this frame after the caller returns.
+  std::size_t remaining = chunks;
   std::exception_ptr first_error;
-  std::mutex error_mutex;
   std::mutex done_mutex;
   std::condition_variable done_cv;
 
@@ -103,23 +106,22 @@ void ThreadPool::parallel_for_impl(std::size_t begin, std::size_t end,
       const std::size_t chunk_begin = begin + c * width;
       const std::size_t chunk_end = std::min(end, chunk_begin + width);
       tasks_.emplace([&, body, chunk_begin, chunk_end] {
+        std::exception_ptr error;
         try {
           body(chunk_begin, chunk_end);
         } catch (...) {
-          const std::lock_guard error_lock(error_mutex);
-          if (!first_error) first_error = std::current_exception();
+          error = std::current_exception();
         }
-        if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          const std::lock_guard done_lock(done_mutex);
-          done_cv.notify_one();
-        }
+        const std::lock_guard done_lock(done_mutex);
+        if (error && !first_error) first_error = std::move(error);
+        if (--remaining == 0) done_cv.notify_one();
       });
     }
   }
   task_ready_.notify_all();
 
   std::unique_lock done_lock(done_mutex);
-  done_cv.wait(done_lock, [&] { return remaining.load(std::memory_order_acquire) == 0; });
+  done_cv.wait(done_lock, [&] { return remaining == 0; });
 
   if (first_error) std::rethrow_exception(first_error);
 }

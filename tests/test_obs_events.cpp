@@ -11,9 +11,11 @@
 #include <thread>
 #include <vector>
 
+#include "core/match_backend.hpp"
 #include "core/rule_system.hpp"
 #include "obs/events.hpp"
 #include "obs/macros.hpp"
+#include "obs/metrics.hpp"
 #include "serve/json.hpp"
 #include "serve/model_store.hpp"
 #include "serve/service.hpp"
@@ -206,7 +208,6 @@ TEST(EventBridge, SlowRequestThresholdEmitsEvent) {
   ef::serve::ModelStore store;
   store.add_system("m", trained.system);
   ef::serve::ServeOptions service_config;
-  service_config.enable_batcher = false;
   service_config.slow_request_us = 1e-3;  // everything is "slow"
   ef::serve::ForecastService service(store, service_config);
 
@@ -221,6 +222,56 @@ TEST(EventBridge, SlowRequestThresholdEmitsEvent) {
   quiet.slow_request_us = 0.0;
   ef::serve::ForecastService quiet_service(store, quiet);
   (void)quiet_service.predict(request);
+#endif
+}
+
+TEST(EventBridge, MatchBackendResolutionEmitsSelectionEvent) {
+#if !EVOFORECAST_OBS_ENABLED
+  GTEST_SKIP() << "events compiled out (EVOFORECAST_OBS=OFF)";
+#else
+  // The breadcrumb fires once per backend per process. ctest runs each test
+  // in a process of its own; in a whole-binary run an earlier test may have
+  // resolved the same backend already, which its counter shows.
+  using ef::core::MatchBackend;
+  auto& registry = ef::obs::Registry::global();
+  const auto counter_name = [](MatchBackend b) {
+    return std::string("match.backend.") + ef::core::to_string(b) + ".selected";
+  };
+  std::vector<std::uint64_t> before;
+  for (const MatchBackend b : {MatchBackend::kScalar, MatchBackend::kSoa,
+                               MatchBackend::kSoaPrefilter, MatchBackend::kAvx2,
+                               MatchBackend::kRuleMajor}) {
+    before.push_back(registry.counter(counter_name(b)).value());
+  }
+
+  const MatchBackend selected = ef::core::resolve_match_backend(MatchBackend::kAuto);
+  if (before[static_cast<std::size_t>(selected)] != 0) {
+    GTEST_SKIP() << ef::core::to_string(selected) << " was resolved earlier in this process";
+  }
+  EXPECT_EQ(registry.counter(counter_name(selected)).value(), 1u);
+
+  const Event* found = nullptr;
+  const auto events = EventLog::global().recent();
+  for (const Event& e : events) {
+    if (e.kind == "match.backend_selected") found = &e;
+  }
+  ASSERT_NE(found, nullptr) << "no match.backend_selected event";
+  bool has_backend = false;
+  bool has_avx2 = false;
+  for (const EventField& field : found->fields) {
+    if (field.key == "backend") {
+      has_backend = true;
+      EXPECT_EQ(field.s, ef::core::to_string(selected));
+    } else if (field.key == "avx2_supported") {
+      has_avx2 = true;
+      EXPECT_EQ(field.kind, EventField::Kind::kBool);
+      EXPECT_EQ(field.b, ef::core::cpu_supports_avx2());
+    }
+  }
+  EXPECT_TRUE(has_backend);
+  EXPECT_TRUE(has_avx2);
+  const auto json = parse_line(found->to_json());
+  EXPECT_TRUE(json.count("backend") == 1 && json.count("avx2_supported") == 1);
 #endif
 }
 

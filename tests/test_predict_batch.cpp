@@ -1,13 +1,12 @@
-// Tests for RuleSystem::forecast_batch and RuleIndex::forecast_batch: exact
-// element-by-element agreement with single-window forecast across every
-// aggregation mode, including abstention positions and vote counts.
+// Tests for RuleSystem::forecast_batch: exact element-by-element agreement
+// with single-window forecast across every aggregation mode, including
+// abstention positions and vote counts.
 #include <gtest/gtest.h>
 
 #include <span>
 #include <stdexcept>
 #include <vector>
 
-#include "core/rule_index.hpp"
 #include "core/rule_system.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -17,7 +16,6 @@ namespace {
 using ef::core::Aggregation;
 using ef::core::Interval;
 using ef::core::Rule;
-using ef::core::RuleIndex;
 using ef::core::RuleSystem;
 
 constexpr Aggregation kAllAggregations[] = {
@@ -109,26 +107,6 @@ TEST(ForecastBatch, MatchesPlainMeanForecast) {
   }
 }
 
-TEST(ForecastBatch, IndexBatchMatchesSystemBatch) {
-  const RuleSystem system = make_system();
-  const RuleIndex index(system, 0.0, 1.0);
-  const std::size_t window = 3;
-  const std::vector<double> flat = make_probes(150, window);
-
-  for (const Aggregation how : kAllAggregations) {
-    const auto from_system = system.forecast_batch(flat, window, how);
-    const auto from_index = index.forecast_batch(flat, window, how);
-    ASSERT_EQ(from_system.size(), from_index.size());
-    for (std::size_t i = 0; i < from_system.size(); ++i) {
-      ASSERT_EQ(from_system[i].abstained, from_index[i].abstained) << "position " << i;
-      if (!from_system[i].abstained) {
-        EXPECT_EQ(from_system[i].value, from_index[i].value) << "position " << i;
-      }
-      EXPECT_EQ(from_system[i].votes, from_index[i].votes) << "position " << i;
-    }
-  }
-}
-
 TEST(ForecastBatch, ExplicitPoolMatchesSharedPool) {
   const RuleSystem system = make_system();
   ef::util::ThreadPool pool(2);
@@ -150,10 +128,6 @@ TEST(ForecastBatch, EmptyBatchAndValidation) {
   const std::vector<double> flat{0.1, 0.2, 0.3, 0.4};
   EXPECT_THROW((void)system.forecast_batch(flat, 0), std::invalid_argument);
   EXPECT_THROW((void)system.forecast_batch(flat, 3), std::invalid_argument);
-
-  const RuleIndex index(system, 0.0, 1.0);
-  EXPECT_THROW((void)index.forecast_batch(flat, 0), std::invalid_argument);
-  EXPECT_THROW((void)index.forecast_batch(flat, 3), std::invalid_argument);
 }
 
 TEST(ForecastBatch, EmptySystemAbstainsEverywhere) {

@@ -292,16 +292,10 @@ PredictRequest request_for(std::vector<double> window, std::size_t horizon = 1) 
   return req;
 }
 
-ServeOptions quality_config() {
-  ServeOptions options;
-  options.enable_batcher = false;  // deterministic single-thread path
-  return options;
-}
-
 TEST(ServiceQuality, CoveredPredictCarriesTheRuleBound) {
   ModelStore store;
   store.add_system("m", covering_system());
-  ForecastService service(store, quality_config());
+  ForecastService service(store);
 
   const auto r = service.predict(request_for({0.5, 0.5}));
   ASSERT_TRUE(r.ok);
@@ -325,7 +319,7 @@ TEST(ServiceQuality, CoveredPredictCarriesTheRuleBound) {
 TEST(ServiceQuality, CacheHitsReturnTheOriginalBound) {
   ModelStore store;
   store.add_system("m", covering_system());
-  ForecastService service(store, quality_config());
+  ForecastService service(store);
 
   const auto cold = service.predict(request_for({0.25, 0.75}));
   ASSERT_TRUE(cold.ok);
@@ -339,7 +333,7 @@ TEST(ServiceQuality, CacheHitsReturnTheOriginalBound) {
 TEST(ServiceQuality, ServiceFeedsTheLedgerOnceArmed) {
   ModelStore store;
   store.add_system("m", covering_system());
-  ForecastService service(store, quality_config());
+  ForecastService service(store);
   ASSERT_NE(service.quality(), nullptr);
 
   // Unarmed: predictions leave no quality state behind.
@@ -362,7 +356,7 @@ TEST(ServiceQuality, ServiceFeedsTheLedgerOnceArmed) {
 TEST(ServiceQuality, DisabledByOptionsMeansNoTracker) {
   ModelStore store;
   store.add_system("m", covering_system());
-  ServeOptions options = quality_config();
+  ServeOptions options;
   options.quality.ledger_capacity = 0;
   ForecastService service(store, options);
   EXPECT_EQ(service.quality(), nullptr);

@@ -2,8 +2,9 @@
 // machine (framing, pipelining, partial writes), then loopback socket tests
 // for pipelined in-order responses, observability verbs and HTTP scrapes on
 // pipelined connections, slowloris byte-at-a-time framing, partial writes
-// under a tiny SO_SNDBUF, connection churn during hot-reload, and graceful
-// drain with responses still in flight.
+// under a tiny SO_SNDBUF, backpressure against a client that does not read,
+// connection churn during hot-reload, and graceful drain with responses
+// still in flight.
 #include "serve/reactor.hpp"
 
 #include <gtest/gtest.h>
@@ -19,6 +20,8 @@
 #include "core/interval.hpp"
 #include "core/rule.hpp"
 #include "core/rule_system.hpp"
+#include "obs/macros.hpp"
+#include "obs/metrics.hpp"
 #include "serve/connection.hpp"
 #include "serve/model_store.hpp"
 #include "serve/service.hpp"
@@ -71,28 +74,6 @@ TEST(Connection, FramesLinesIncrementally) {
   EXPECT_TRUE(conn.has_buffered_input());
 }
 
-TEST(Connection, OutOfOrderCompletionsReleaseInSequence) {
-  Connection conn(-1, 1, 0);
-  const auto s0 = conn.allocate_seq();
-  const auto s1 = conn.allocate_seq();
-  const auto s2 = conn.allocate_seq();
-  EXPECT_EQ(conn.in_flight(), 3u);
-
-  conn.complete(s2, "two\n");
-  conn.complete(s1, "one\n");
-  EXPECT_FALSE(conn.has_output()) << "successors must park behind seq 0";
-
-  conn.complete(s0, "zero\n");
-  ASSERT_EQ(conn.output().size(), 3u);
-  EXPECT_EQ(conn.output()[0], "zero\n");
-  EXPECT_EQ(conn.output()[1], "one\n");
-  EXPECT_EQ(conn.output()[2], "two\n");
-  EXPECT_EQ(conn.in_flight(), 0u);
-  EXPECT_FALSE(conn.idle()) << "queued output still pending";
-  conn.consume_output(13);
-  EXPECT_TRUE(conn.idle());
-}
-
 TEST(Connection, OverlongLineDiscardedMidStreamThenRecovers) {
   Connection conn(-1, 1, 0);
   const std::string big(64, 'x');
@@ -110,8 +91,9 @@ TEST(Connection, OverlongLineDiscardedMidStreamThenRecovers) {
 
 TEST(Connection, ConsumeOutputHandlesPartialWrites) {
   Connection conn(-1, 1, 0);
-  conn.complete(conn.allocate_seq(), "abcdef");
-  conn.complete(conn.allocate_seq(), "ghij");
+  conn.respond("abcdef");
+  conn.respond("ghij");
+  EXPECT_EQ(conn.queued(), 2u);
   conn.consume_output(4);  // partial first string
   EXPECT_EQ(conn.write_offset(), 4u);
   conn.consume_output(5);  // finishes first, 3 bytes into second
@@ -119,6 +101,7 @@ TEST(Connection, ConsumeOutputHandlesPartialWrites) {
   ASSERT_EQ(conn.output().size(), 1u);
   conn.consume_output(1);
   EXPECT_FALSE(conn.has_output());
+  EXPECT_EQ(conn.queued(), 0u);
   EXPECT_EQ(conn.write_offset(), 0u);
 }
 
@@ -129,8 +112,13 @@ TEST(Connection, ConsumeOutputHandlesPartialWrites) {
 /// Blocking JSON-lines client with buffered line reads and a deadline.
 class LineClient {
  public:
-  explicit LineClient(std::uint16_t port) {
+  /// A non-zero `rcvbuf_bytes` pins SO_RCVBUF before connecting, so how many
+  /// replies fit in flight does not depend on the host's tcp_rmem default.
+  explicit LineClient(std::uint16_t port, int rcvbuf_bytes = 0) {
     fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd_ >= 0 && rcvbuf_bytes > 0) {
+      (void)::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &rcvbuf_bytes, sizeof(rcvbuf_bytes));
+    }
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(port);
@@ -469,14 +457,12 @@ TEST(Reactor, GracefulDrainAnswersInFlightPipeline) {
 }
 
 TEST(Reactor, HalfCloseWithDeepInlinePipelineDoesNotRecurse) {
-  // Regression: with the batcher off every predict completes inline on the
-  // reactor thread. A client that pipelines thousands of lines and then
-  // shutdown(SHUT_WR) used to drive complete_local -> process_lines mutual
-  // recursion one frame per buffered line — a remotely triggerable stack
-  // overflow. Every response must still arrive, in order, then the server
-  // closes the drained connection.
+  // Regression: every predict completes inline on the reactor thread. A
+  // client that pipelines thousands of lines and then shutdown(SHUT_WR) once
+  // drove completion -> line-loop mutual recursion one frame per buffered
+  // line — a remotely triggerable stack overflow. Every response must still
+  // arrive, in order, then the server closes the drained connection.
   ServeOptions options;
-  options.enable_batcher = false;
   Server server(options);
   LineClient client(server.reactor->port());
   ASSERT_TRUE(client.connected());
@@ -500,53 +486,93 @@ TEST(Reactor, HalfCloseWithDeepInlinePipelineDoesNotRecurse) {
       << "server must close once the half-closed pipeline drains";
 }
 
-TEST(Reactor, DrainCompletesBufferedInlineTailWithoutRecursing) {
-  // The other guaranteed paused_read + buffered-lines + inline-completion
-  // combination (the recursion precondition, see HalfClose above): park the
-  // connection at the pipeline cap behind one slow batcher miss, with a
-  // cached tail already sitting in its read buffer, then initiate the
-  // drain. When the miss finally completes, every buffered tail line is a
-  // cache hit completing inline under paused_read — pre-guard this nested
-  // one stack frame per line. All buffered lines must be answered in
-  // order, then the connection closes.
+TEST(Reactor, NonReadingClientStopsShardReadingAtPipelineCap) {
+  // A client that pipelines and never reads must not make its shard read,
+  // answer and queue every line: once max_pipeline replies sit unwritten the
+  // shard stops reading, and it resumes as the client drains its replies.
   ServeOptions options;
-  options.max_pipeline = 1;
-  options.batcher.max_delay = std::chrono::milliseconds(100);  // park window
+  options.reactor_threads = 1;
+  options.max_pipeline = 8;
+  options.sndbuf_bytes = 4096;
   Server server(options);
-  LineClient client(server.reactor->port());
+  const ef::obs::Counter& requests =
+      ef::obs::Registry::global().counter("serve.reactor.0.requests");
+  const std::uint64_t before = requests.value();
+  LineClient client(server.reactor->port(), /*rcvbuf_bytes=*/4096);
   ASSERT_TRUE(client.connected());
 
-  // Prime the cache for the tail window.
-  ASSERT_TRUE(client.send_all("{\"model\":\"m\",\"window\":[0.8,1.1]}\n"));
-  ASSERT_TRUE(client.read_line().has_value());
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));  // miss drained
-
-  // One fresh-window miss parks the connection for ~100ms at the cap; the
-  // cached tail lands in the read buffer behind it.
   constexpr int kRequests = 20000;
-  std::string burst = "{\"model\":\"m\",\"window\":[0.5,0.9]}\n";
+  std::string burst;
+  burst.reserve(kRequests * 48);
   for (int i = 0; i < kRequests; ++i) {
     burst += R"({"model":"m","window":[0.8,1.1],"id":)" + std::to_string(i) + "}\n";
   }
-  ASSERT_TRUE(client.send_all(burst));
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // reactor parked
-  server.reactor->stop();  // drain with the tail still buffered
+  // The send blocks once the shard stops reading; the reads below free it.
+  std::thread sender([&] { (void)client.send_all(burst); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+#if EVOFORECAST_OBS_ENABLED
+  EXPECT_LT(requests.value() - before, static_cast<std::uint64_t>(kRequests / 4))
+      << "the shard kept reading a client that does not read its replies";
+#else
+  (void)before;
+#endif
 
-  // The miss answers first (v1 — no id), then the buffered tail in order;
-  // lines the reactor never read off the socket are dropped by the drain
+  for (int i = 0; i < kRequests; ++i) {
+    const auto line = client.read_line(10000);
+    if (!line || line->find("\"id\":" + std::to_string(i) + ",") == std::string::npos) {
+      ADD_FAILURE() << "response " << i << " missing or out of order: " << line.value_or("");
+      break;
+    }
+  }
+  client.shutdown_write();  // unblocks the sender if a reply went missing
+  sender.join();
+}
+
+TEST(Reactor, DrainCompletesBufferedInlineTailWithoutRecursing) {
+  // The other paused-read + buffered-lines + inline-answer combination (the
+  // recursion precondition, see HalfClose above): a client that pipelines
+  // without reading parks its connection at the pipeline cap with a tail of
+  // lines in the read buffer, then the drain begins. As the client reads,
+  // every buffered tail line is answered one at a time under the cap — this
+  // must iterate, not nest a stack frame per line. Replies arrive in order
+  // and gap-free, then the connection closes.
+  ServeOptions options;
+  options.reactor_threads = 1;
+  options.max_pipeline = 1;
+  options.sndbuf_bytes = 4096;
+  Server server(options);
+  LineClient client(server.reactor->port(), /*rcvbuf_bytes=*/4096);
+  ASSERT_TRUE(client.connected());
+
+  constexpr int kRequests = 20000;
+  std::string burst;
+  burst.reserve(kRequests * 48);
+  for (int i = 0; i < kRequests; ++i) {
+    burst += R"({"model":"m","window":[0.8,1.1],"id":)" + std::to_string(i) + "}\n";
+  }
+  // The send stalls once the shard parks; the drain's close ends it.
+  std::thread sender([&] { (void)client.send_all(burst); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));  // parked at the cap
+  std::thread stopper([&] { server.reactor->stop(); });  // drain, tail still buffered
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  // Lines the reactor never read off the socket are dropped by the drain
   // contract, so assert order and gap-freeness, not the total.
-  const auto miss = client.read_line();
-  ASSERT_TRUE(miss.has_value());
-  EXPECT_NE(miss->find("\"ok\":true"), std::string::npos) << *miss;
   int next_id = 0;
   for (;;) {
     const auto line = client.read_line(2000);
     if (!line) break;  // server closed the drained connection
-    ASSERT_NE(line->find("\"id\":" + std::to_string(next_id)), std::string::npos)
-        << "out of order at " << next_id << ": " << *line;
+    if (line->find("\"id\":" + std::to_string(next_id) + ",") == std::string::npos) {
+      ADD_FAILURE() << "out of order at " << next_id << ": " << *line;
+      break;
+    }
     ++next_id;
   }
   EXPECT_GT(next_id, 0) << "drain dropped the buffered tail";
+  client.shutdown_write();
+  stopper.join();
+  sender.join();
+  EXPECT_FALSE(server.reactor->running());
 }
 
 TEST(Reactor, MultipleShardsServeConcurrentConnections) {

@@ -94,16 +94,10 @@ PredictRequest request_for(std::vector<double> window, std::size_t horizon = 1,
   return req;
 }
 
-ServeOptions no_batch_config() {
-  ServeOptions options;
-  options.enable_batcher = false;  // deterministic single-thread path
-  return options;
-}
-
 TEST(ForecastService, ValidationErrorsNeverThrow) {
   ModelStore store;
   store.add_system("m", make_system());
-  ForecastService service(store, no_batch_config());
+  ForecastService service(store);
 
   // Unknown model.
   auto r = service.predict(request_for({0.5, 0.5, 0.5}));
@@ -133,7 +127,7 @@ TEST(ForecastService, MatchesCorePredictAndReportsAbstention) {
   ModelStore store;
   const RuleSystem reference = make_system();
   store.add_system("m", make_system());
-  ForecastService service(store, no_batch_config());
+  ForecastService service(store);
 
   ef::util::Rng rng(7);
   std::size_t abstentions = 0;
@@ -161,7 +155,7 @@ TEST(ForecastService, MatchesCorePredictAndReportsAbstention) {
 TEST(ForecastService, CachedEqualsUncachedExactly) {
   ModelStore store;
   store.add_system("m", make_system());
-  ForecastService service(store, no_batch_config());
+  ForecastService service(store);
 
   ef::util::Rng rng(11);
   for (int i = 0; i < 50; ++i) {
@@ -197,7 +191,7 @@ TEST(ForecastService, CachedEqualsUncachedExactly) {
 TEST(ForecastService, CacheDisabledStillCorrect) {
   ModelStore store;
   store.add_system("m", make_system());
-  ServeOptions config = no_batch_config();
+  ServeOptions config;
   config.enable_cache = false;
   ForecastService service(store, config);
 
@@ -216,7 +210,7 @@ TEST(ForecastService, MultiStepMatchesIterateForecast) {
   ModelStore store;
   const RuleSystem reference = make_covering_system();
   store.add_system("m", make_covering_system());
-  ForecastService service(store, no_batch_config());
+  ForecastService service(store);
 
   const std::vector<double> window{0.8, 1.1};
   for (std::size_t horizon : {1u, 2u, 5u, 12u}) {
@@ -246,7 +240,7 @@ TEST(ForecastService, MultiStepMatchesIterateForecast) {
 TEST(ForecastService, MultiStepAbstainsWhenChainBreaks) {
   ModelStore store;
   store.add_system("m", make_system());
-  ForecastService service(store, no_batch_config());
+  ForecastService service(store);
 
   // This window is covered at step one (rule 1 matches) but sliding it
   // forward pushes the next window outside every rule, so the chain must
@@ -268,13 +262,12 @@ TEST(ForecastService, MultiStepAbstainsWhenChainBreaks) {
   EXPECT_EQ(response.votes, 0u);
 }
 
-TEST(ForecastService, BatchedPathAgreesWithInline) {
+TEST(ForecastService, ConcurrentPredictsAgreeWithSequential) {
   ModelStore store;
   store.add_system("m", make_system());
-  ServeOptions batched;
-  batched.enable_cache = false;
-  ForecastService with_batcher(store, batched);
-  ForecastService inline_service(store, no_batch_config());
+  ServeOptions uncached;
+  uncached.enable_cache = false;
+  ForecastService service(store, uncached);
 
   ef::util::Rng rng(23);
   std::vector<std::vector<double>> probes;
@@ -283,22 +276,24 @@ TEST(ForecastService, BatchedPathAgreesWithInline) {
         {rng.uniform(-0.2, 1.4), rng.uniform(-0.2, 1.4), rng.uniform(-0.2, 1.4)});
   }
 
-  // Fire concurrently so the batcher actually coalesces.
-  std::vector<ef::serve::PredictResponse> batched_out(probes.size());
+  // 32 predicts racing on one service must answer exactly what the same
+  // requests answer one at a time.
+  std::vector<ef::serve::PredictResponse> concurrent(probes.size());
   std::vector<std::thread> clients;
   for (std::size_t i = 0; i < probes.size(); ++i) {
-    clients.emplace_back([&, i] { batched_out[i] = with_batcher.predict(request_for(probes[i])); });
+    clients.emplace_back([&, i] { concurrent[i] = service.predict(request_for(probes[i])); });
   }
   for (auto& c : clients) c.join();
 
   for (std::size_t i = 0; i < probes.size(); ++i) {
-    const auto expected = inline_service.predict(request_for(probes[i]));
-    ASSERT_TRUE(batched_out[i].ok) << "probe " << i;
-    EXPECT_EQ(batched_out[i].abstain, expected.abstain) << "probe " << i;
+    const auto expected = service.predict(request_for(probes[i]));
+    ASSERT_TRUE(concurrent[i].ok) << "probe " << i;
+    EXPECT_EQ(concurrent[i].abstain, expected.abstain) << "probe " << i;
     if (!expected.abstain) {
-      EXPECT_EQ(batched_out[i].value, expected.value) << "probe " << i;
+      EXPECT_EQ(concurrent[i].value, expected.value) << "probe " << i;
+      EXPECT_EQ(concurrent[i].bound, expected.bound) << "probe " << i;
     }
-    EXPECT_EQ(batched_out[i].votes, expected.votes) << "probe " << i;
+    EXPECT_EQ(concurrent[i].votes, expected.votes) << "probe " << i;
   }
 }
 

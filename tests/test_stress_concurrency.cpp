@@ -2,11 +2,10 @@
 //
 // Each test hammers one component from many threads at once — exactly the
 // interleavings production traffic produces and unit tests don't: model
-// hot-reload under live predictions, micro-batcher submit against shutdown,
-// sharded cache churn with eviction, event-log append against snapshot,
-// windowed-collector sampling against queries, timeline span emission
-// against snapshot/export/reset, and overlapping parallel_for rounds on one
-// shared pool.
+// hot-reload under live predictions, sharded cache churn with eviction,
+// event-log append against snapshot, windowed-collector sampling against
+// queries, timeline span emission against snapshot/export/reset, and
+// overlapping parallel_for rounds on one shared pool.
 //
 // The assertions are deliberately coarse (values sane, counts add up); the
 // real oracle is the sanitizer. Run with -DEVOFORECAST_SANITIZE=thread and
@@ -25,7 +24,6 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -35,7 +33,6 @@
 #include "obs/timeline.hpp"
 #include "obs/timeline_export.hpp"
 #include "obs/window.hpp"
-#include "serve/batcher.hpp"
 #include "serve/json.hpp"
 #include "serve/model_store.hpp"
 #include "serve/reactor.hpp"
@@ -135,48 +132,6 @@ TEST(StressConcurrency, ModelStoreReloadUnderPredict) {
   EXPECT_GT(predictions.load(), 0u);
   EXPECT_GE(store.get("m")->version(), 2u);
   std::filesystem::remove(path);
-}
-
-TEST(StressConcurrency, BatcherSubmitAgainstDrain) {
-  ef::serve::ModelStore store;
-  store.add_system("m", constant_system(3.0));
-  const auto model = store.get("m");
-
-  ef::serve::BatcherConfig config;
-  config.max_batch = 16;
-  config.max_delay = std::chrono::microseconds(100);
-  ef::serve::MicroBatcher batcher(config);
-
-  constexpr std::size_t kThreads = 8;
-  const std::size_t per_thread = 50 * kIterScale;
-  std::atomic<std::size_t> resolved{0};
-  std::atomic<std::size_t> rejected{0};
-
-  auto submitters = spawn(kThreads, [&](std::size_t t) {
-    for (std::size_t i = 0; i < per_thread; ++i) {
-      std::vector<double> window{0.25 + 0.001 * static_cast<double>(t), 0.5};
-      try {
-        auto future = batcher.submit(model, std::move(window), ef::core::Aggregation::kMean);
-        const ef::core::Prediction p = future.get();
-        ASSERT_FALSE(p.abstained);
-        ASSERT_DOUBLE_EQ(p.value, 3.0);
-        resolved.fetch_add(1, std::memory_order_relaxed);
-      } catch (const std::runtime_error&) {
-        // Submit after shutdown began: the documented rejection path.
-        rejected.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  });
-
-  // Shut down while the last threads are still submitting: every accepted
-  // request must still resolve (drain), every late one must throw.
-  while (resolved.load(std::memory_order_relaxed) < kThreads * per_thread / 2) {
-    std::this_thread::yield();
-  }
-  batcher.shutdown();
-  join_all(submitters);
-  EXPECT_EQ(resolved.load() + rejected.load(), kThreads * per_thread);
-  EXPECT_GT(resolved.load(), 0u);
 }
 
 TEST(StressConcurrency, WindowCacheChurnWithEviction) {
@@ -343,7 +298,7 @@ TEST(StressConcurrency, TimelineEmitAgainstExport) {
         ef::obs::SpanScope child("stress.child");
         child.set_arg("writer", static_cast<double>(t));
       }
-      // The batcher pattern: adopt the context and emit retrospectively.
+      // The thread-hop pattern: adopt the context and emit retrospectively.
       const ef::obs::ContextGuard guard(ctx);
       ef::obs::Timeline::emit(ctx, "stress.emit", static_cast<std::int64_t>(i),
                               static_cast<std::int64_t>(i) + 2);
@@ -424,9 +379,8 @@ int connect_loopback(std::uint16_t port) {
 TEST(StressConcurrency, ReactorPipelinedClientsAgainstHotReload) {
   // Many client threads pipelining bursts over short-lived connections while
   // the model hot-reloads underneath: TSan watches the acceptor fd handoff
-  // between shards, the cross-thread completion inbox, and the batcher
-  // dispatch racing connection close. Finally stop() lands with traffic
-  // still arriving — the drain must not race the in-flight completions.
+  // between shards and inline predicts racing the reload. Finally stop()
+  // lands with traffic still arriving — the drain must not race it.
   ef::serve::ModelStore store;
   store.add_system("m", constant_system(3.0));
   ef::serve::ServeOptions options;
@@ -518,7 +472,6 @@ TEST(StressConcurrency, QualityObserveAgainstPredictAndReload) {
   store.add_system("n", constant_system(2.0));
 
   ef::serve::ServeOptions options;
-  options.enable_batcher = false;
   options.quality.ledger_capacity = 64;  // small ring: constant wraparound
   options.quality.window = 32;
   options.quality.drift.lambda = 1.0;  // drift edges fire during the run too

@@ -6,7 +6,9 @@
 
 #include <atomic>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace {
@@ -102,6 +104,52 @@ TEST(ThreadPool, RepeatedCallsWork) {
         0, 10000, [&](std::size_t b, std::size_t e) { count.fetch_add(static_cast<int>(e - b)); },
         64);
     ASSERT_EQ(count.load(), 10000);
+  }
+}
+
+TEST(ThreadPool, ExceptionFromEveryChunkRethrowsOneOfThem) {
+  ThreadPool pool(4);
+  std::atomic<int> chunks_run{0};
+  std::set<std::string> thrown;
+  for (int c = 0; c < 4; ++c) thrown.insert("chunk" + std::to_string(c * 25));
+  try {
+    pool.parallel_for(
+        0, 100,
+        [&](std::size_t b, std::size_t) {
+          chunks_run.fetch_add(1);
+          throw std::runtime_error("chunk" + std::to_string(b));
+        },
+        1);
+    FAIL() << "parallel_for returned normally";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(thrown.count(e.what()), 1u) << e.what();
+  }
+  // Every chunk ran to completion before the caller saw the error.
+  EXPECT_EQ(chunks_run.load(), 4);
+}
+
+// Overwrite the stack below the caller's frame, where the frame of a
+// returned parallel_for call lived, with non-zero bytes.
+[[gnu::noinline]] void scribble_stack() {
+  volatile unsigned char bytes[4096];
+  for (auto& byte : bytes) byte = 0xA5;
+}
+
+// parallel_for keeps its completion state (countdown, mutex, condition
+// variable) on the caller's stack. A worker that still touched that state
+// after the caller returned would lock whatever the frame holds by then:
+// glibc aborts on a mutex-state assertion or the worker blocks forever. Each
+// call is followed at once by other stack use, as the match engine's merge of
+// partial results is, so a late touch lands on garbage.
+TEST(ThreadPool, BackToBackCallsDoNotTouchAReturnedCallersState) {
+  ThreadPool pool(4);
+  for (int round = 0; round < 100000; ++round) {
+    std::atomic<int> count{0};
+    pool.parallel_for(
+        0, 8, [&](std::size_t b, std::size_t e) { count.fetch_add(static_cast<int>(e - b)); },
+        1);
+    scribble_stack();
+    ASSERT_EQ(count.load(), 8) << "round " << round;
   }
 }
 
