@@ -1,22 +1,27 @@
-// bench_match_kernel — match-backend throughput on Mackey-Glass (D=4, τ=6).
+// bench_match_kernel — match-kernel throughput on Mackey-Glass (D=4, τ=6).
 //
 // Trains a real rule system on a prefix of a long Mackey-Glass series
 // (deterministic seed → identical rule sets across runs), then measures
-// single-threaded match throughput of every MatchBackend sweeping the full
-// rule set over the full dataset. Before timing, every backend's match set
-// is checked index-for-index against the scalar serial reference: the
-// backends' contract is *bit-identical* match sets, so any divergence is a
-// correctness bug and the bench exits non-zero — speed numbers for wrong
-// answers are worthless.
+// single-threaded match throughput of every kernel variant sweeping the full
+// rule set over the full dataset, calling core/match_backend.hpp's
+// matchkern:: functions directly: the scalar reference, the prefilter with
+// its SSE2 byte scan, the prefilter with its AVX2 fused scan (the SSE2 one
+// on a CPU without AVX2), and the rule-major batch kernel (plane build
+// included). Before timing, every variant's match set — and MatchEngine's
+// production kAuto path, per rule and batched — is checked index-for-index
+// against the scalar serial reference: the contract is *bit-identical*
+// match sets, so any divergence is a correctness bug and the bench exits
+// non-zero — speed numbers for wrong answers are worthless.
 //
 // A second, end-to-end section times the *training path*: the same
-// fixed-seed generational run with the pre-batching per-rule fitness loop
-// vs the rule-major batched fitness path. The two runs must serialise to
-// byte-identical rule systems (the fitness wiring is bit-exact, not just
-// the kernels), and the ratio is reported as train_speedup.
+// fixed-seed generational run with the scalar reference (kScalar, per-rule
+// fitness loop) vs the production path (kAuto, rule-major batched fitness).
+// The two runs must serialise to byte-identical rule systems (the fitness
+// wiring is bit-exact, not just the kernels), and the ratio is reported as
+// train_speedup.
 //
 // Output: a human-readable table plus (via --json) a machine-readable
-// report with per-backend windows/s, speedups vs scalar, and the train
+// report with per-kernel windows/s, speedups vs scalar, and the train
 // section. CI runs --quick and diffs against the committed baseline
 // BENCH_match.json with scripts/check_match_bench.py.
 //
@@ -25,7 +30,7 @@
 //   --series N      series length                (default 120000 / 20000 quick)
 //   --generations N per-execution budget         (default 3000 / 300 quick)
 //   --executions N  training executions unioned  (default 3 / 1 quick)
-//   --reps N        timed sweeps per backend     (default 5 / 7 quick)
+//   --reps N        timed sweeps per kernel      (default 5 / 7 quick)
 //   --seed S        training seed                (default 7)
 //   --no-train-path skip the end-to-end train comparison
 //   --json PATH     write the JSON report
@@ -33,6 +38,7 @@
 //                     trace-event JSON (arms tracing at rate 1.0)
 #include <chrono>
 #include <cstdio>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -50,13 +56,61 @@
 
 namespace {
 
+using ef::core::Interval;
+using ef::core::LagMajorView;
 using ef::core::MatchBackend;
 using ef::core::MatchEngine;
 using ef::core::Rule;
 using ef::core::WindowDataset;
+namespace matchkern = ef::core::matchkern;
 
-struct BackendResult {
-  MatchBackend backend = MatchBackend::kScalar;
+using MatchSets = std::vector<std::vector<std::size_t>>;
+
+/// One kernel variant: a full-ruleset sweep over every window, out[r]
+/// receiving rule r's ascending matches. Rules all carry the dataset's D
+/// (they were trained on it).
+struct Kernel {
+  const char* name;
+  void (*sweep)(const WindowDataset& data, const std::vector<Rule>& rules, MatchSets& out);
+};
+
+void sweep_scalar(const WindowDataset& data, const std::vector<Rule>& rules, MatchSets& out) {
+  for (std::size_t r = 0; r < rules.size(); ++r) {
+    matchkern::scalar_match(data.pattern(0).data(), data.window(), rules[r].genes(), 0,
+                            data.count(), out[r]);
+  }
+}
+
+template <bool Avx2>
+void sweep_prefilter(const WindowDataset& data, const std::vector<Rule>& rules,
+                     MatchSets& out) {
+  const LagMajorView view = data.lag_major();
+  for (std::size_t r = 0; r < rules.size(); ++r) {
+    matchkern::soa_prefilter_match(view, rules[r].genes(), 0, data.count(), out[r], nullptr,
+                                   Avx2);
+  }
+}
+
+void sweep_rule_major(const WindowDataset& data, const std::vector<Rule>& rules,
+                      MatchSets& out) {
+  const LagMajorView view = data.lag_major();
+  std::vector<std::span<const Interval>> genes;
+  genes.reserve(rules.size());
+  for (const Rule& rule : rules) genes.emplace_back(rule.genes());
+  const ef::core::RulePlanes planes =
+      ef::core::build_rule_planes(genes, data.window(), view.qmin, view.qinv);
+  matchkern::rule_major_match(view, planes, 0, data.count(), out);
+}
+
+constexpr Kernel kKernels[] = {
+    {"scalar", sweep_scalar},
+    {"soa_prefilter", sweep_prefilter<false>},
+    {"avx2", sweep_prefilter<true>},
+    {"rule_major", sweep_rule_major},
+};
+
+struct KernelResult {
+  const char* name = "";
   double seconds = 0.0;  ///< best (minimum) single-sweep wall time
   double windows_per_sec = 0.0;
   std::size_t matched = 0;  ///< total matches over one sweep (sanity anchor)
@@ -68,18 +122,14 @@ double now_seconds() {
       .count();
 }
 
-/// One full-ruleset sweep under `engine`. kRuleMajor goes through the
-/// batched entry point (that IS its sweep shape); the per-rule backends loop
-/// match_indices. Returns total matches (anchors the sweep against dead-code
-/// elimination and sanity-checks reps against each other).
-std::size_t sweep(const MatchEngine& engine, const std::vector<Rule>& rules) {
+/// One timed sweep; returns total matches (anchors the sweep against
+/// dead-code elimination and sanity-checks reps against each other).
+std::size_t run_sweep(const Kernel& kernel, const WindowDataset& data,
+                      const std::vector<Rule>& rules, MatchSets& out) {
+  for (auto& m : out) m.clear();
+  kernel.sweep(data, rules, out);
   std::size_t matched = 0;
-  if (engine.backend() == MatchBackend::kRuleMajor) {
-    const auto all = engine.match_all(rules);
-    for (const auto& m : all) matched += m.size();
-  } else {
-    for (const Rule& rule : rules) matched += engine.match_indices(rule).size();
-  }
+  for (const auto& m : out) matched += m.size();
   return matched;
 }
 
@@ -135,45 +185,44 @@ int main(int argc, char** argv) {
   // measure chunking, not the kernels.
   ef::util::ThreadPool one(1);
 
-  // Correctness gate first: every backend (per-rule and batched entry
-  // points) vs the scalar serial reference.
-  const MatchEngine reference(data, &one);
-  bool identical = true;
-  constexpr MatchBackend kBackends[] = {MatchBackend::kScalar, MatchBackend::kSoa,
-                                        MatchBackend::kSoaPrefilter, MatchBackend::kAvx2,
-                                        MatchBackend::kRuleMajor};
-  for (const MatchBackend backend : kBackends) {
-    const MatchEngine engine(data, &one, backend);
-    const auto batched = engine.match_all(rules);
-    for (std::size_t r = 0; r < rules.size(); ++r) {
-      const auto expected = reference.match_indices_serial(rules[r]);
-      if (batched[r] != expected || engine.match_indices(rules[r]) != expected) {
-        std::fprintf(stderr, "MATCH SET MISMATCH: backend=%s rule=%zu\n",
-                     ef::core::to_string(backend), r);
-        identical = false;
-        break;
-      }
+  // Correctness gate first: every kernel variant and the production
+  // engine path (per rule and batched) vs the scalar serial reference.
+  const MatchEngine reference(data, &one, MatchBackend::kScalar);
+  const MatchEngine production(data, &one, MatchBackend::kAuto);
+  MatchSets expected(rules.size());
+  for (std::size_t r = 0; r < rules.size(); ++r) {
+    expected[r] = reference.match_indices_serial(rules[r]);
+  }
+  bool identical = production.match_all(rules) == expected;
+  for (std::size_t r = 0; identical && r < rules.size(); ++r) {
+    identical = production.match_indices(rules[r]) == expected[r];
+  }
+  if (!identical) std::fprintf(stderr, "MATCH SET MISMATCH: MatchEngine kAuto\n");
+  MatchSets got(rules.size());
+  for (const Kernel& kernel : kKernels) {
+    run_sweep(kernel, data, rules, got);
+    if (got != expected) {
+      std::fprintf(stderr, "MATCH SET MISMATCH: kernel=%s\n", kernel.name);
+      identical = false;
     }
   }
 
-  std::vector<BackendResult> results;
-  for (const MatchBackend backend : kBackends) {
+  std::vector<KernelResult> results;
+  for (const Kernel& kernel : kKernels) {
     ef::obs::SpanScope sweep_span("bench.sweep");
-    sweep_span.set_arg("backend", static_cast<double>(backend));
-    const MatchEngine engine(data, &one, backend);
-    BackendResult r;
-    r.backend = backend;
-    r.matched = sweep(engine, rules);  // warm
+    sweep_span.set_arg("kernel", static_cast<double>(results.size()));
+    KernelResult r;
+    r.name = kernel.name;
+    r.matched = run_sweep(kernel, data, rules, got);  // warm
     // Per-rep minimum: the machine is shared, so total time over reps mixes
     // in scheduler noise; the fastest sweep is the most repeatable estimate
     // of what the kernel actually costs.
-    r.seconds = 0.0;
     for (std::size_t rep = 0; rep < reps; ++rep) {
       const double t0 = now_seconds();
-      const std::size_t matched = sweep(engine, rules);
+      const std::size_t matched = run_sweep(kernel, data, rules, got);
       const double dt = now_seconds() - t0;
       if (matched != r.matched) {
-        std::fprintf(stderr, "UNSTABLE SWEEP: backend=%s\n", ef::core::to_string(backend));
+        std::fprintf(stderr, "UNSTABLE SWEEP: kernel=%s\n", kernel.name);
         identical = false;
       }
       if (rep == 0 || dt < r.seconds) r.seconds = dt;
@@ -182,30 +231,29 @@ int main(int argc, char** argv) {
         static_cast<double>(rules.size()) * static_cast<double>(data.count());
     r.windows_per_sec = r.seconds > 0.0 ? scanned / r.seconds : 0.0;
     results.push_back(r);
-    std::printf("  %-14s %8.3f s/sweep   %12.3e windows/s   (%zu matches/sweep)\n",
-                ef::core::to_string(backend), r.seconds, r.windows_per_sec, r.matched);
+    std::printf("  %-14s %8.3f s/sweep   %12.3e windows/s   (%zu matches/sweep)\n", r.name,
+                r.seconds, r.windows_per_sec, r.matched);
   }
 
   const double scalar_wps = results[0].windows_per_sec;
-  std::printf("  speedup: soa %.2fx, soa_prefilter %.2fx, avx2 %.2fx, rule_major %.2fx, "
-              "match sets %s\n",
+  std::printf("  speedup: soa_prefilter %.2fx, avx2 %.2fx, rule_major %.2fx, match sets %s\n",
               results[1].windows_per_sec / scalar_wps,
               results[2].windows_per_sec / scalar_wps,
               results[3].windows_per_sec / scalar_wps,
-              results[4].windows_per_sec / scalar_wps,
               identical ? "identical" : "MISMATCH");
 
-  // End-to-end train path: same seed, same offspring schedule, the
-  // pre-batching per-rule prefilter fitness loop (batched_fitness = false)
-  // vs the rule-major batched fitness path. The generational engine is the
-  // shape where batching structurally applies — every generation evaluates a
-  // whole offspring cohort, which the batched path turns into one plane
-  // build + one window pass (the steady-state engine only batches its
-  // initial populations). The two runs must serialise to byte-identical
-  // rule systems (the fitness wiring is bit-exact, not just the kernels),
-  // and the ratio is reported as train_speedup. Larger slice than the
-  // rule-source training above so evaluation (not operator bookkeeping)
-  // dominates, as it does at production series lengths.
+  // End-to-end train path: same seed, same offspring schedule, the scalar
+  // reference with the per-rule fitness loop (kScalar, batched_fitness =
+  // false) vs the production path (kAuto, rule-major batched fitness). The
+  // generational engine is the shape where batching structurally applies —
+  // every generation evaluates a whole offspring cohort, which the batched
+  // path turns into one plane build + one window pass (the steady-state
+  // engine only batches its initial populations). The two runs must
+  // serialise to byte-identical rule systems (the fitness wiring is
+  // bit-exact, not just the kernels), and the ratio is reported as
+  // train_speedup. Larger slice than the rule-source training above so
+  // evaluation (not operator bookkeeping) dominates, as it does at
+  // production series lengths.
   double train_per_rule_s = 0.0;
   double train_rule_major_s = 0.0;
   double train_speedup = 0.0;
@@ -224,8 +272,7 @@ int main(int argc, char** argv) {
     for (const bool batched : {false, true}) {
       ef::core::GenerationalConfig run_cfg = gen_cfg;
       run_cfg.base.batched_fitness = batched;
-      run_cfg.base.match_backend =
-          batched ? MatchBackend::kRuleMajor : MatchBackend::kSoaPrefilter;
+      run_cfg.base.match_backend = batched ? MatchBackend::kAuto : MatchBackend::kScalar;
       const double t0 = now_seconds();
       ef::core::GenerationalEngine engine(path_ds, run_cfg, &one);
       engine.run_evaluations(eval_budget);
@@ -241,8 +288,8 @@ int main(int argc, char** argv) {
     train_identical = !bytes_per_rule.empty() && bytes_per_rule == bytes_rule_major;
     train_speedup =
         train_rule_major_s > 0.0 ? train_per_rule_s / train_rule_major_s : 0.0;
-    std::printf("  train path (%zu windows, %zu evals): per-rule %.3f s, "
-                "rule-major %.3f s, speedup %.2fx, rule systems %s\n",
+    std::printf("  train path (%zu windows, %zu evals): scalar %.3f s, "
+                "auto %.3f s, speedup %.2fx, rule systems %s\n",
                 train_windows, eval_budget, train_per_rule_s, train_rule_major_s,
                 train_speedup, train_identical ? "identical" : "MISMATCH");
     if (!train_identical) identical = false;
@@ -268,18 +315,16 @@ int main(int argc, char** argv) {
       std::fprintf(f,
                    "    \"%s\": {\"seconds\": %.6f, \"windows_per_sec\": %.1f, "
                    "\"matches_per_sweep\": %zu}%s\n",
-                   ef::core::to_string(results[i].backend), results[i].seconds,
-                   results[i].windows_per_sec, results[i].matched,
-                   i + 1 < results.size() ? "," : "");
+                   results[i].name, results[i].seconds, results[i].windows_per_sec,
+                   results[i].matched, i + 1 < results.size() ? "," : "");
     }
     std::fprintf(f, "  },\n");
     std::fprintf(f,
-                 "  \"speedup\": {\"soa\": %.3f, \"soa_prefilter\": %.3f, "
-                 "\"avx2\": %.3f, \"rule_major\": %.3f},\n",
+                 "  \"speedup\": {\"soa_prefilter\": %.3f, \"avx2\": %.3f, "
+                 "\"rule_major\": %.3f},\n",
                  results[1].windows_per_sec / scalar_wps,
                  results[2].windows_per_sec / scalar_wps,
-                 results[3].windows_per_sec / scalar_wps,
-                 results[4].windows_per_sec / scalar_wps);
+                 results[3].windows_per_sec / scalar_wps);
     if (train_path) {
       std::fprintf(f,
                    "  \"train\": {\"windows\": %zu, \"seconds_per_rule\": %.3f, "

@@ -5,7 +5,8 @@
 //      with its descriptive statistics and ACF-detected dominant period,
 //   2. automatic EMAX calibration (core/tuning) against a coverage target,
 //   3. a walk-forward backtest (core/backtest) instead of one split,
-//   4. forecasts with uncertainty bounds (RuleSystem::predict_with_bound).
+//   4. forecasts with uncertainty bounds (Prediction::bound from
+//      RuleSystem::forecast).
 //
 // Build & run:  ./build/examples/series_lab
 #include <cmath>
@@ -93,11 +94,11 @@ int main() {
   std::size_t inside = 0;
   double bound_sum = 0.0;
   for (std::size_t i = 0; i < eval.count(); ++i) {
-    const auto out = trained.system.predict_with_bound(eval.pattern(i));
-    if (!out) continue;
+    const ef::core::Prediction out = trained.system.forecast(eval.pattern(i));
+    if (out.abstained) continue;
     ++covered;
-    bound_sum += out->bound;
-    if (std::abs(eval.target(i) - out->value) <= out->bound) ++inside;
+    bound_sum += out.bound;
+    if (std::abs(eval.target(i) - out.value) <= out.bound) ++inside;
   }
   if (covered > 0) {
     std::printf("held-out: %zu covered windows, mean bound ±%.4f, actual inside the "

@@ -68,12 +68,10 @@ struct EvolutionConfig {
   InitStrategy init = InitStrategy::kOutputStratified;
   ReplacementStrategy replacement = ReplacementStrategy::kCrowding;
 
-  /// Match-kernel implementation used by rule evaluation. Every backend
-  /// produces bit-identical match sets, so this is purely a throughput knob;
-  /// EVOFORECAST_MATCH_BACKEND in the environment overrides it at run time
-  /// (see resolve_match_backend). kAuto resolves to the best backend the
-  /// CPU supports — currently the rule-major batched kernel, whose SIMD
-  /// inner loops self-dispatch between AVX2/SSE2/scalar.
+  /// Match path used by rule evaluation: kAuto (the production kernels,
+  /// whose SIMD width cpuid picks) or kScalar (the reference scan tests
+  /// compare against). Both produce bit-identical match sets, so trained
+  /// systems are identical either way.
   MatchBackend match_backend = MatchBackend::kAuto;
 
   /// Evaluate whole populations through Evaluator::evaluate_all (one

@@ -1,63 +1,42 @@
-// match_backend.hpp — pluggable implementations of the match hot loop.
+// match_backend.hpp — the match hot loop: which windows does a rule accept?
 //
 // Evaluating one offspring rule tests every training window (up to ~45 000
 // for Venice) against D interval genes; that scan dominates training
-// wall-clock. This module isolates the per-range kernels behind a small
-// enum so the engine (match_engine.hpp) can dispatch and callers can select:
+// wall-clock. The paper's predicate is one (§3: every non-wildcard gene
+// contains its lag), and so is the production path. MatchBackend has two
+// values:
 //
-//   * kScalar       — the row-wise reference scan: one window at a time,
-//                     short-circuiting on the first failing gene.
-//   * kSoa          — structure-of-arrays: one lag-major column pass per
-//                     non-wildcard gene, AND-ing a branchless pass/fail flag
-//                     per window. The inner loop is a pure compare-and-mask
-//                     over contiguous doubles, which auto-vectorizes.
-//   * kSoaPrefilter — SoA plus selectivity ordering: non-wildcard genes are
-//                     processed narrowest-interval first. On views carrying
-//                     the quantized byte mirror (WindowDataset builds one),
-//                     the narrowest gene is relaxed to a byte range and
-//                     scanned over uint8 columns — 8× less memory traffic
-//                     than the double column, 16 lanes per SSE2 compare —
-//                     and the surviving candidates are re-verified exactly
-//                     against the contiguous row-major mirror (all genes,
-//                     narrowest first). On plain views it falls back to a
-//                     double column scan + in-place candidate compaction.
-//   * kAvx2         — the prefilter algorithm with a 32-lane AVX2 byte scan
-//                     instead of the 16-lane SSE2 one. Compiled via function
-//                     target attributes, so the binary stays runnable on a
-//                     baseline x86-64 machine; the kernel is only *executed*
-//                     when the CPU reports AVX2 (cpuid-probed once at
-//                     startup — see cpu_supports_avx2). Selecting kAvx2 on a
-//                     CPU without AVX2 falls back to kSoaPrefilter cleanly.
-//   * kRuleMajor    — whole-ruleset batched kernel: quantized lo/hi byte
-//                     planes for every gene of every rule, built once per
-//                     batch, matched against the window stream in ONE pass
-//                     (windows outer, 16/32 rules per SIMD lane-set with
-//                     per-window candidate bitmasks), exact scalar
-//                     verification only on survivors. This is the training
-//                     hot-loop shape: evaluating a whole population touches
-//                     each window once instead of once per rule. Single-rule
-//                     queries under kRuleMajor use the best per-rule kernel
-//                     (kAvx2 when the CPU has it, else kSoaPrefilter).
-//   * kAuto         — resolve-time placeholder: pick the best backend the
-//                     CPU supports (currently kRuleMajor, whose SIMD inner
-//                     loops self-dispatch between AVX2/SSE2/scalar).
+//   * kScalar — the row-wise reference scan: one window at a time,
+//               short-circuiting on the first failing gene. Tests and the
+//               determinism differential compare every other path to it.
+//   * kAuto   — the production path. A single rule runs the prefilter
+//               kernel: non-wildcard genes narrowest first, the narrowest
+//               gene relaxed to a byte range and scanned over the quantized
+//               uint8 columns (8× less memory traffic than doubles), the
+//               surviving candidates re-verified exactly against the
+//               row-major mirror. A whole rule set runs the rule-major
+//               kernel: quantized lo/hi byte planes for every gene of every
+//               rule, built once, matched against the window stream in ONE
+//               pass (16/32 rules per SIMD compare), exact verification on
+//               survivors only.
 //
-// All kernels produce bit-identical match sets (ascending window indices,
+// Inside both kernels cpu_supports_avx2() alone picks the SIMD width: AVX2
+// (32 byte lanes, compiled via function target attributes so the binary
+// stays runnable on baseline x86-64), else SSE2, else scalar.
+// EVOFORECAST_MATCH_CPU=baseline masks the cpuid probe — the only way to run
+// the SSE2 kernels on AVX2 hardware.
+//
+// Every path produces bit-identical match sets (ascending window indices,
 // identical NaN semantics: a non-wildcard gene rejects NaN, a wildcard
-// accepts anything) — backends differ only in speed. Quantization never
-// costs a match: the byte mapping is monotone, so the relaxed byte range is
-// a superset of the gene's exact interval, and every candidate is re-checked
-// with the same double comparisons the scalar kernel uses. The engine
-// default is kAuto; the EVOFORECAST_MATCH_BACKEND environment variable
-// overrides any configured choice and EVOFORECAST_MATCH_CPU=baseline masks
-// the AVX2 cpuid probe (ops/test hook — see resolve_match_backend).
+// accepts anything). Quantization never costs a match: the byte mapping is
+// monotone, so the relaxed byte range is a superset of the gene's exact
+// interval, and every candidate is re-checked with the same double
+// comparisons the scalar kernel uses.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "core/interval.hpp"
@@ -65,87 +44,53 @@
 namespace ef::core {
 
 enum class MatchBackend {
-  kScalar,        ///< row-wise reference scan
-  kSoa,           ///< lag-major vectorizable flag kernel
-  kSoaPrefilter,  ///< lag-major with selectivity-ordered candidate pruning
-  kAvx2,          ///< prefilter with a 32-lane AVX2 byte scan (cpuid-gated)
-  kRuleMajor,     ///< whole-ruleset batched plane kernel (one window pass)
-  kAuto,          ///< resolve-time: best backend the CPU supports
+  kScalar,  ///< row-wise reference scan
+  kAuto,    ///< production path: prefilter per rule, rule-major per rule set
 };
 
 [[nodiscard]] constexpr const char* to_string(MatchBackend b) noexcept {
-  switch (b) {
-    case MatchBackend::kScalar: return "scalar";
-    case MatchBackend::kSoa: return "soa";
-    case MatchBackend::kSoaPrefilter: return "soa_prefilter";
-    case MatchBackend::kAvx2: return "avx2";
-    case MatchBackend::kRuleMajor: return "rule_major";
-    case MatchBackend::kAuto: return "auto";
-  }
-  return "?";
+  return b == MatchBackend::kScalar ? "scalar" : "auto";
 }
-
-/// Parse a backend name ("scalar", "soa", "soa_prefilter", "avx2",
-/// "rule_major", "auto"; "soa+prefilter" is accepted as an alias).
-/// nullopt on anything else.
-[[nodiscard]] std::optional<MatchBackend> parse_match_backend(std::string_view name) noexcept;
 
 /// Does this CPU support AVX2? Probed once per process (cpuid via
 /// __builtin_cpu_supports); always false on non-x86 builds. The
 /// EVOFORECAST_MATCH_CPU environment variable overrides the probe:
-/// "baseline" forces false (proves the no-AVX fallback path without needing
-/// pre-AVX hardware), anything else is ignored.
+/// "baseline" forces false (runs the SSE2 kernels without needing pre-AVX
+/// hardware), anything else is ignored.
 [[nodiscard]] bool cpu_supports_avx2() noexcept;
 
-/// Pure dispatch decision, exposed for unit tests: maps a configured choice
-/// and the CPU's AVX2 capability to the backend that will actually run.
-/// kAuto picks kRuleMajor (its SIMD inner loops self-dispatch); kAvx2
-/// without CPU support degrades to kSoaPrefilter. Never returns kAuto.
-[[nodiscard]] constexpr MatchBackend pick_match_backend(MatchBackend configured,
-                                                        bool avx2_supported) noexcept {
-  if (configured == MatchBackend::kAuto) return MatchBackend::kRuleMajor;
-  if (configured == MatchBackend::kAvx2 && !avx2_supported) {
-    return MatchBackend::kSoaPrefilter;
-  }
-  return configured;
-}
-
-/// Apply the EVOFORECAST_MATCH_BACKEND environment override to a configured
-/// choice, then resolve it against the CPU (pick_match_backend). An unset
-/// variable leaves `configured` in charge; a set but unparsable value warns
-/// once on stderr and is ignored. The environment is read once per process
-/// (the result is cached). The first time a given backend is selected, a
-/// one-time "match.backend_selected" event and counter are emitted so smoke
-/// scripts and efstat can assert the dispatch decision.
+/// Returns `configured` unchanged. The first time a given backend is
+/// resolved in this process, a one-time "match.backend_selected" event and
+/// a match.backend.<name>.selected counter record it, so smoke scripts and
+/// efstat can see what training ran.
 [[nodiscard]] MatchBackend resolve_match_backend(MatchBackend configured);
 
 /// Lag-major (transposed) view of packed windows: column j holds the value
 /// of lag j for every window, contiguously. Built once by WindowDataset at
-/// construction; forecast_batch builds one per batch.
+/// construction, together with the mirrors below; forecast_batch builds a
+/// rows + qrows view per batch for the rule-major kernel.
 struct LagMajorView {
   const double* data = nullptr;  ///< window columns of `count` doubles each
   std::size_t count = 0;         ///< windows (rows of the logical matrix)
   std::size_t window = 0;        ///< lags (columns)
 
-  /// Optional row-major mirror of the same windows (count × window,
-  /// window-contiguous per row). When present together with `qdata`, the
-  /// prefilter kernel verifies byte-pass candidates against one contiguous
-  /// row instead of gathering from `window` strided columns.
+  /// Row-major mirror of the same windows (count × window,
+  /// window-contiguous per row). The prefilter and rule-major kernels verify
+  /// byte-pass candidates against one contiguous row.
   const double* rows = nullptr;
 
-  /// Optional quantized lag-major mirror: byte = clamp(⌊(v − qmin)·qinv⌋,
-  /// 0, 255), same column layout as `data`. The mapping is monotone, so a
-  /// gene interval relaxed to byte bounds the same way yields a candidate
+  /// Quantized lag-major mirror: byte = clamp(⌊(v − qmin)·qinv⌋, 0, 255),
+  /// same column layout as `data`. The mapping is monotone, so a gene
+  /// interval relaxed to byte bounds the same way yields a candidate
   /// superset — exact double verification then restores bit-identical match
-  /// sets. nullptr on ad-hoc views (kernels fall back to double columns).
+  /// sets. Required by the prefilter kernel.
   const std::uint8_t* qdata = nullptr;
   double qmin = 0.0;  ///< quantization origin (dataset value minimum)
   double qinv = 0.0;  ///< 255 / (max − min); 0 for a constant series
 
-  /// Optional quantized row-major mirror (count × window, same byte map as
-  /// `qdata`). The rule-major kernel streams this — one window's bytes are
-  /// broadcast against the planes of 16/32 rules at a time. nullptr on
-  /// views that never feed the batched kernel.
+  /// Quantized row-major mirror (count × window, same byte map as `qdata`).
+  /// The rule-major kernel streams this — one window's bytes are broadcast
+  /// against the planes of 16/32 rules at a time.
   const std::uint8_t* qrows = nullptr;
 
   [[nodiscard]] const double* col(std::size_t j) const noexcept {
@@ -209,16 +154,13 @@ void scalar_match(const double* rows, std::size_t window,
                   std::span<const Interval> genes, std::size_t begin, std::size_t end,
                   std::vector<std::size_t>& out);
 
-/// SoA flag kernel: one column pass per non-wildcard gene.
-void soa_match(const LagMajorView& view, std::span<const Interval> genes,
-               std::size_t begin, std::size_t end, std::vector<std::size_t>& out);
-
-/// SoA prefilter kernel: narrowest non-wildcard gene first, candidate-list
-/// compaction for the rest. When `pruned_out` is non-null it accumulates the
-/// number of windows eliminated by the first (most selective) gene — i.e.
-/// windows never tested against the remaining genes. `avx2` widens the byte
-/// scan to 32 lanes (requires cpu_supports_avx2(); silently degrades to the
-/// SSE2 scan otherwise, results identical either way).
+/// Prefilter kernel: narrowest non-wildcard gene first as a byte-column
+/// scan, exact verification of the candidates. Requires view.qdata and
+/// view.rows. When `pruned_out` is non-null it accumulates the number of
+/// windows eliminated at the byte level — i.e. windows never tested in
+/// double precision. `avx2` selects the fused 32-lane multi-gene byte scan
+/// (requires cpu_supports_avx2(); silently degrades to the SSE2 scan
+/// otherwise, results identical either way).
 void soa_prefilter_match(const LagMajorView& view, std::span<const Interval> genes,
                          std::size_t begin, std::size_t end, std::vector<std::size_t>& out,
                          std::size_t* pruned_out = nullptr, bool avx2 = false);

@@ -1,6 +1,5 @@
 #include "core/match_engine.hpp"
 
-#include <atomic>
 #include <chrono>
 
 #include "obs/macros.hpp"
@@ -11,8 +10,8 @@ namespace {
 constexpr std::size_t kParallelGrain = 4096;
 
 #if EVOFORECAST_OBS_ENABLED
-/// Records the wall time of one engine call into the per-backend histogram.
-/// Histogram names must be string literals, hence the switch.
+/// Records the wall time of one engine call into the histogram of the
+/// backend that served it. Histogram names must be string literals.
 class BackendTimer {
  public:
   explicit BackendTimer(MatchBackend backend) noexcept
@@ -21,24 +20,10 @@ class BackendTimer {
   BackendTimer& operator=(const BackendTimer&) = delete;
   ~BackendTimer() {
     const double us = std::chrono::duration<double, std::micro>(Clock::now() - start_).count();
-    switch (backend_) {
-      case MatchBackend::kScalar:
-        EVOFORECAST_HISTOGRAM("match.scalar.us", us);
-        break;
-      case MatchBackend::kSoa:
-        EVOFORECAST_HISTOGRAM("match.soa.us", us);
-        break;
-      case MatchBackend::kSoaPrefilter:
-        EVOFORECAST_HISTOGRAM("match.soa_prefilter.us", us);
-        break;
-      case MatchBackend::kAvx2:
-        EVOFORECAST_HISTOGRAM("match.avx2.us", us);
-        break;
-      case MatchBackend::kRuleMajor:
-        EVOFORECAST_HISTOGRAM("match.rule_major.us", us);
-        break;
-      case MatchBackend::kAuto:
-        break;  // unreachable: engines hold a resolved backend
+    if (backend_ == MatchBackend::kScalar) {
+      EVOFORECAST_HISTOGRAM("match.scalar.us", us);
+    } else {
+      EVOFORECAST_HISTOGRAM("match.auto.us", us);
     }
   }
 
@@ -55,39 +40,18 @@ class BackendTimer {
 }  // namespace
 
 MatchEngine::MatchEngine(const WindowDataset& data, util::ThreadPool* pool, MatchBackend backend)
-    : data_(data),
-      pool_(pool ? pool : &util::ThreadPool::shared()),
-      // Normalize against the CPU so the dispatch switches below never see
-      // kAuto or an unsupported kAvx2 (explicit supported choices pass
-      // through unchanged — tests construct engines with a forced backend).
-      backend_(pick_match_backend(backend, cpu_supports_avx2())) {}
+    : data_(data), pool_(pool ? pool : &util::ThreadPool::shared()), backend_(backend) {}
 
 void MatchEngine::match_range(const Rule& rule, std::size_t begin, std::size_t end,
                               std::vector<std::size_t>& out, std::size_t* pruned) const {
-  const auto& genes = rule.genes();
-  switch (backend_) {
-    case MatchBackend::kScalar:
-      matchkern::scalar_match(data_.pattern(0).data(), data_.window(), genes, begin, end, out);
-      break;
-    case MatchBackend::kSoa:
-      matchkern::soa_match(data_.lag_major(), genes, begin, end, out);
-      break;
-    case MatchBackend::kSoaPrefilter:
-      matchkern::soa_prefilter_match(data_.lag_major(), genes, begin, end, out, pruned);
-      break;
-    case MatchBackend::kAvx2:
-      matchkern::soa_prefilter_match(data_.lag_major(), genes, begin, end, out, pruned,
-                                     /*avx2=*/true);
-      break;
-    case MatchBackend::kRuleMajor:
-      // Single-rule query under the batched backend: use the best per-rule
-      // kernel the CPU has (the batched plane build only pays off for whole
-      // rule sets — see match_all).
-      matchkern::soa_prefilter_match(data_.lag_major(), genes, begin, end, out, pruned,
-                                     /*avx2=*/cpu_supports_avx2());
-      break;
-    case MatchBackend::kAuto:
-      break;  // unreachable: the constructor stores a resolved backend
+  if (backend_ == MatchBackend::kScalar) {
+    matchkern::scalar_match(data_.pattern(0).data(), data_.window(), rule.genes(), begin, end,
+                            out);
+  } else {
+    // One rule: the prefilter kernel (the rule-major plane build only pays
+    // off for whole rule sets — see match_all).
+    matchkern::soa_prefilter_match(data_.lag_major(), rule.genes(), begin, end, out, pruned,
+                                   cpu_supports_avx2());
   }
 }
 
@@ -146,7 +110,7 @@ std::vector<std::vector<std::size_t>> MatchEngine::match_all(
   std::vector<std::vector<std::size_t>> out(n);
   if (n == 0) return out;
 
-  if (backend_ != MatchBackend::kRuleMajor) {
+  if (backend_ == MatchBackend::kScalar) {
     for (std::size_t r = 0; r < n; ++r) out[r] = match_indices(rules[r]);
     return out;
   }
@@ -194,40 +158,6 @@ std::vector<std::vector<std::size_t>> MatchEngine::match_all(
   for (const auto& v : out) matched += v.size();
   EVOFORECAST_COUNT("match.windows_matched", matched);
   return out;
-}
-
-std::size_t MatchEngine::match_count(const Rule& rule) const {
-  EVOFORECAST_TRACE("core.match");
-  const std::size_t m = data_.count();
-  EVOFORECAST_COUNT("match.calls", 1);
-  EVOFORECAST_COUNT("match.windows_scanned", m);
-  if (rule.genes().size() != data_.window()) return 0;  // dimension mismatch
-  EF_MATCH_TIMER(backend_);
-
-  if (m <= kParallelGrain || pool_->size() <= 1) {
-    std::vector<std::size_t> out;
-    std::size_t pruned = 0;
-    match_range(rule, 0, m, out, &pruned);
-    EVOFORECAST_COUNT("match.windows_matched", out.size());
-    if (pruned != 0) EVOFORECAST_COUNT("match.pruned", pruned);
-    return out.size();
-  }
-
-  std::atomic<std::size_t> total{0};
-  std::atomic<std::size_t> pruned{0};
-  pool_->parallel_for(
-      0, m,
-      [&](std::size_t begin, std::size_t end) {
-        std::vector<std::size_t> local;
-        std::size_t local_pruned = 0;
-        match_range(rule, begin, end, local, &local_pruned);
-        total.fetch_add(local.size(), std::memory_order_relaxed);
-        pruned.fetch_add(local_pruned, std::memory_order_relaxed);
-      },
-      kParallelGrain);
-  EVOFORECAST_COUNT("match.windows_matched", total.load());
-  if (pruned.load() != 0) EVOFORECAST_COUNT("match.pruned", pruned.load());
-  return total.load();
 }
 
 }  // namespace ef::core

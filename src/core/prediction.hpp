@@ -23,8 +23,8 @@ struct Prediction {
   /// Interval half-width from the voters' training errors:
   ///   bound = max_k ( e_k + |v_k − value| )
   /// so [value − bound, value + bound] is the paper's prediction interval
-  /// (exact in-sample, ≥ ~90 % containment held-out — see
-  /// RuleSystem::predict_with_bound). Negative = no bound available (an
+  /// (exact in-sample, an empirically calibrated heuristic held-out: ≥ ~85 %
+  /// containment on Mackey-Glass). Negative = no bound available (an
   /// abstention, or a path that cannot compose one, e.g. iterated
   /// multi-step chains).
   double bound = -1.0;

@@ -55,9 +55,11 @@ RuleIndex::RuleIndex(const RuleSystem& system, double value_lo, double value_hi,
 }
 
 std::size_t RuleIndex::bucket_of(double value) const {
-  if (value <= lo_) return 0;
-  const auto b = static_cast<std::size_t>((value - lo_) / width_);
-  return std::min(b, bucket_rules_.size() - 1);
+  if (!(value > lo_)) return 0;  // below range, or NaN
+  // Clamp before the cast: a served window may carry any finite double, and
+  // converting an out-of-range quotient to size_t is undefined behaviour.
+  const double last = static_cast<double>(bucket_rules_.size() - 1);
+  return static_cast<std::size_t>(std::min((value - lo_) / width_, last));
 }
 
 std::span<const std::size_t> RuleIndex::candidates(double value_at_dimension) const {

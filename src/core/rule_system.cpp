@@ -76,100 +76,57 @@ std::vector<Prediction> RuleSystem::forecast_batch(std::span<const double> flat_
   std::vector<Prediction> out(n);
   if (n == 0) return out;
 
-  // Lag-major transpose of the batch, shared by every rule's kernel pass.
-  const MatchBackend backend = resolve_match_backend(MatchBackend::kAuto);
-  std::vector<double> lag_major;
-  if (backend != MatchBackend::kScalar) {
-    lag_major.resize(flat_windows.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < window; ++j) {
-        lag_major[j * n + i] = flat_windows[i * window + j];
-      }
+  // Quantize the batch with a batch-local byte map (any monotone map
+  // preserves the candidate-superset property — the training map isn't
+  // needed), build the planes of the whole rule set once, and match every
+  // rule against each chunk in a single rule-major pass.
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -std::numeric_limits<double>::infinity();
+  for (const double v : flat_windows) {
+    if (std::isfinite(v)) {
+      lo = std::min(lo, v);
+      hi = std::max(hi, v);
     }
   }
-  LagMajorView view{lag_major.data(), n, window};
+  LagMajorView view{};
+  view.count = n;
+  view.window = window;
   view.rows = flat_windows.data();
-
-  // Rule-major path: quantize the batch with a batch-local byte map (any
-  // monotone map preserves the candidate-superset property — the training
-  // map isn't needed), build the planes of the whole rule set once, and
-  // match every rule against each chunk in a single pass.
-  RulePlanes planes;
-  std::vector<std::uint8_t> qrows;
-  if (backend == MatchBackend::kRuleMajor) {
-    double lo = std::numeric_limits<double>::infinity();
-    double hi = -std::numeric_limits<double>::infinity();
-    for (const double v : flat_windows) {
-      if (std::isfinite(v)) {
-        lo = std::min(lo, v);
-        hi = std::max(hi, v);
-      }
-    }
-    // Degenerate batches (constant, or no finite value at all) collapse to
-    // the identity-0 map: every byte test passes, exact verification decides.
-    view.qmin = hi > lo ? lo : 0.0;
-    view.qinv = hi > lo ? 255.0 / (hi - lo) : 0.0;
-    qrows.resize(flat_windows.size());
-    for (std::size_t k = 0; k < qrows.size(); ++k) {
-      qrows[k] = quantize_value(flat_windows[k], view.qmin, view.qinv);
-    }
-    view.qrows = qrows.data();
-    std::vector<std::span<const Interval>> genes(rules_.size());
-    for (std::size_t r = 0; r < rules_.size(); ++r) {
-      // Non-predicting or wrong-dimension rules become inactive lanes (the
-      // same rules the per-rule loop skips).
-      if (rules_[r].predicting() && rules_[r].window() == window) {
-        genes[r] = rules_[r].genes();
-      }
-    }
-    planes = build_rule_planes(genes, window, view.qmin, view.qinv);
+  // Degenerate batches (constant, or no finite value at all) collapse to
+  // the identity-0 map: every byte test passes, exact verification decides.
+  view.qmin = hi > lo ? lo : 0.0;
+  view.qinv = hi > lo ? 255.0 / (hi - lo) : 0.0;
+  std::vector<std::uint8_t> qrows(flat_windows.size());
+  for (std::size_t k = 0; k < qrows.size(); ++k) {
+    qrows[k] = quantize_value(flat_windows[k], view.qmin, view.qinv);
   }
+  view.qrows = qrows.data();
+  std::vector<std::span<const Interval>> genes(rules_.size());
+  for (std::size_t r = 0; r < rules_.size(); ++r) {
+    // Non-predicting or wrong-dimension rules become inactive lanes: the
+    // same rules collect_votes skips.
+    if (rules_[r].predicting() && rules_[r].window() == window) {
+      genes[r] = rules_[r].genes();
+    }
+  }
+  const RulePlanes planes = build_rule_planes(genes, window, view.qmin, view.qinv);
 
   util::ThreadPool& tp = pool ? *pool : util::ThreadPool::shared();
   tp.parallel_for(
       0, n,
       [&](std::size_t begin, std::size_t end) {
-        // Rule-outer within the chunk: each rule's kernel pass appends its
-        // matched windows, so per-window vote lists fill in ascending rule
-        // order — exactly the vectors the window-outer collect_votes path
-        // builds, hence identical aggregation for every strategy.
+        // Per-window vote lists fill in ascending rule order — exactly the
+        // vectors the window-outer collect_votes path builds, hence
+        // identical aggregation for every strategy.
+        std::vector<std::vector<std::size_t>> matched(rules_.size());
+        matchkern::rule_major_match(view, planes, begin, end, matched);
         std::vector<std::vector<Vote>> votes(end - begin);
-        const auto push_votes = [&](const Rule& rule, const std::vector<std::size_t>& matched) {
-          for (const std::size_t i : matched) {
+        for (std::size_t r = 0; r < rules_.size(); ++r) {
+          const Rule& rule = rules_[r];
+          for (const std::size_t i : matched[r]) {
             const auto w = flat_windows.subspan(i * window, window);
             votes[i - begin].push_back(
                 Vote{rule.forecast(w), rule.fitness(), rule.predicting()->error()});
-          }
-        };
-        if (backend == MatchBackend::kRuleMajor) {
-          std::vector<std::vector<std::size_t>> matched(rules_.size());
-          matchkern::rule_major_match(view, planes, begin, end, matched);
-          for (std::size_t r = 0; r < rules_.size(); ++r) push_votes(rules_[r], matched[r]);
-        } else {
-          std::vector<std::size_t> matched;
-          for (const Rule& rule : rules_) {
-            if (!rule.predicting() || rule.window() != window) continue;
-            matched.clear();
-            switch (backend) {
-              case MatchBackend::kScalar:
-                matchkern::scalar_match(flat_windows.data(), window, rule.genes(), begin, end,
-                                        matched);
-                break;
-              case MatchBackend::kSoa:
-                matchkern::soa_match(view, rule.genes(), begin, end, matched);
-                break;
-              case MatchBackend::kSoaPrefilter:
-                matchkern::soa_prefilter_match(view, rule.genes(), begin, end, matched);
-                break;
-              case MatchBackend::kAvx2:
-                matchkern::soa_prefilter_match(view, rule.genes(), begin, end, matched,
-                                               nullptr, /*avx2=*/true);
-                break;
-              case MatchBackend::kRuleMajor:
-              case MatchBackend::kAuto:
-                break;  // unreachable: handled above / resolved away
-            }
-            push_votes(rule, matched);
           }
         }
         for (std::size_t i = begin; i < end; ++i) {
@@ -186,20 +143,6 @@ std::vector<Prediction> RuleSystem::forecast_batch(std::span<const double> flat_
         }
       },
       /*grain=*/16);
-  return out;
-}
-
-std::optional<RuleSystem::BoundedForecast> RuleSystem::predict_with_bound(
-    std::span<const double> window, Aggregation how) const {
-  const std::vector<Vote> votes = collect_votes(rules_, window);
-  note_prediction(votes.size());
-  const auto value = aggregate_votes(votes, how);
-  if (!value) return std::nullopt;
-
-  BoundedForecast out;
-  out.value = *value;
-  out.votes = votes.size();
-  out.bound = vote_bound(votes, *value);
   return out;
 }
 
@@ -243,44 +186,25 @@ double RuleSystem::coverage_percent(const WindowDataset& data, util::ThreadPool*
   std::atomic<std::size_t> covered{0};
   util::ThreadPool& tp = pool ? *pool : util::ThreadPool::shared();
 
-  if (resolve_match_backend(MatchBackend::kAuto) == MatchBackend::kRuleMajor &&
-      !rules_.empty()) {
-    // Batched scan: the dataset already carries the quantized mirrors, so
-    // build the rule planes once and mark per-window hits chunk by chunk —
-    // one pass over the windows for the whole rule set. Coverage only needs
-    // "any rule matched", so the per-rule index lists collapse to a bitmap.
-    const LagMajorView view = data.lag_major();
-    std::vector<std::span<const Interval>> genes(rules_.size());
-    for (std::size_t r = 0; r < rules_.size(); ++r) {
-      if (rules_[r].window() == data.window()) genes[r] = rules_[r].genes();
-    }
-    const RulePlanes planes =
-        build_rule_planes(genes, data.window(), view.qmin, view.qinv);
-    tp.parallel_for(0, data.count(), [&](std::size_t begin, std::size_t end) {
-      std::vector<std::vector<std::size_t>> matched(rules_.size());
-      matchkern::rule_major_match(view, planes, begin, end, matched);
-      std::vector<std::uint8_t> hit(end - begin, 0);
-      for (const auto& m : matched) {
-        for (const std::size_t i : m) hit[i - begin] = 1;
-      }
-      std::size_t local = 0;
-      for (const std::uint8_t h : hit) local += h;
-      covered.fetch_add(local, std::memory_order_relaxed);
-    });
-    return 100.0 * static_cast<double>(covered.load()) / static_cast<double>(data.count());
+  // Batched scan: the dataset already carries the quantized mirrors, so
+  // build the rule planes once and mark per-window hits chunk by chunk —
+  // one pass over the windows for the whole rule set. Coverage only needs
+  // "any rule matched", so the per-rule index lists collapse to a bitmap.
+  const LagMajorView view = data.lag_major();
+  std::vector<std::span<const Interval>> genes(rules_.size());
+  for (std::size_t r = 0; r < rules_.size(); ++r) {
+    if (rules_[r].window() == data.window()) genes[r] = rules_[r].genes();
   }
-
+  const RulePlanes planes = build_rule_planes(genes, data.window(), view.qmin, view.qinv);
   tp.parallel_for(0, data.count(), [&](std::size_t begin, std::size_t end) {
-    std::size_t local = 0;
-    for (std::size_t i = begin; i < end; ++i) {
-      const auto window = data.pattern(i);
-      for (const Rule& rule : rules_) {
-        if (rule.matches(window)) {
-          ++local;
-          break;
-        }
-      }
+    std::vector<std::vector<std::size_t>> matched(rules_.size());
+    matchkern::rule_major_match(view, planes, begin, end, matched);
+    std::vector<std::uint8_t> hit(end - begin, 0);
+    for (const auto& m : matched) {
+      for (const std::size_t i : m) hit[i - begin] = 1;
     }
+    std::size_t local = 0;
+    for (const std::uint8_t h : hit) local += h;
     covered.fetch_add(local, std::memory_order_relaxed);
   });
   return 100.0 * static_cast<double>(covered.load()) / static_cast<double>(data.count());

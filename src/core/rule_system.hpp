@@ -51,9 +51,9 @@ class RuleSystem {
                                     Aggregation how = Aggregation::kMean) const;
 
   /// Batched forecasts for `flat_windows.size() / window` row-major packed
-  /// windows. Matching runs rule-outer over a lag-major transpose of the
-  /// batch (the same vectorized kernels training uses), parallel over
-  /// windows via `pool` (nullptr = shared pool). Element i equals
+  /// windows. Matching runs the rule-major kernel training uses (one pass
+  /// over the batch for the whole rule set), parallel over windows via
+  /// `pool` (nullptr = shared pool). Element i equals
   /// forecast(flat_windows.subspan(i*window, window), how) exactly,
   /// including abstention positions and vote counts. Throws
   /// std::invalid_argument when window == 0 or flat_windows.size() is not a
@@ -62,20 +62,6 @@ class RuleSystem {
                                                        std::size_t window,
                                                        Aggregation how = Aggregation::kMean,
                                                        util::ThreadPool* pool = nullptr) const;
-
-  /// Point forecast with a heuristic uncertainty bound derived from the
-  /// voters' training errors and their disagreement:
-  ///   bound = max_k ( e_k + |v_k − value| )
-  /// Each voter guaranteed |target − v_k| ≤ e_k on its *training* region, so
-  /// the bound is exact in-sample and an empirically calibrated heuristic
-  /// out-of-sample (tested ≥ ~90 % containment on held-out data).
-  struct BoundedForecast {
-    double value = 0.0;
-    double bound = 0.0;
-    std::size_t votes = 0;
-  };
-  [[nodiscard]] std::optional<BoundedForecast> predict_with_bound(
-      std::span<const double> window, Aggregation how = Aggregation::kMean) const;
 
   /// Number of rules matching a window (0 = abstention).
   [[nodiscard]] std::size_t vote_count(std::span<const double> window) const;

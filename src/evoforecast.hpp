@@ -18,12 +18,10 @@
 //   if (!p.abstained) use(p.value, p.votes);
 //
 // Training schedules (sequential vs island-parallel) are one entry point:
-// ef::core::train(data, options) — see TrainOptions. The match hot path runs
-// on a pluggable backend (core/match_backend.hpp): scalar reference, SoA
-// vectorized, or SoA + selectivity prefilter (default); all three produce
-// bit-identical match sets, so the choice is purely about speed. Override
-// per-config via EvolutionConfig::match_backend or process-wide with the
-// EVOFORECAST_MATCH_BACKEND environment variable.
+// ef::core::train(data, options) — see TrainOptions. The match hot path
+// (core/match_backend.hpp) runs one production path whose SIMD width cpuid
+// picks, plus a scalar reference scan it is tested against; both produce
+// bit-identical match sets.
 //
 // Layering (each header is also individually includable):
 //   obs/       metrics registry, scoped tracing, run reports

@@ -34,7 +34,7 @@ struct BuildInfo {
 
 /// The same data as one JSON object (no trailing newline), e.g.
 /// {"git_commit":"abc","compiler":"gcc 12.2.0","build_type":"Release",
-///  "obs_enabled":true,"env":{"EVOFORECAST_MATCH_BACKEND":"soa"}}
+///  "obs_enabled":true,"env":{"EVOFORECAST_MATCH_CPU":"baseline"}}
 [[nodiscard]] std::string build_info_json();
 
 }  // namespace ef::obs

@@ -302,7 +302,7 @@ Derived derive(const Sample& cur, const Sample* prev) {
     d.p99_us = quantile(now_b, pb, 0.99);
   }
 
-  for (const char* backend : {"scalar", "soa", "soa_prefilter"}) {
+  for (const char* backend : {"auto", "scalar"}) {
     const std::string base = std::string("evoforecast_match_") + backend + "_us";
     if (const auto p50 = sample(m, base + "_window{q=\"0.50\"}")) {
       d.backend_p50_us.emplace_back(backend, *p50);

@@ -87,18 +87,16 @@ TEST(Determinism, IndependentOfThreadPoolSize) {
 }
 
 TEST(Determinism, IndependentOfMatchBackend) {
-  // The backend is a speed knob only: every kernel produces bit-identical
-  // match sets, so the trained system must serialise to identical bytes
-  // whichever backend the config picks — including the cpuid-dispatched
-  // AVX2 one and the rule-major batched fitness path.
+  // The production path (cpuid-dispatched prefilter and rule-major batched
+  // fitness kernels) produces bit-identical match sets to the scalar
+  // reference, so the trained system must serialise to identical bytes
+  // whichever the config picks.
   const auto mg = ef::series::make_paper_mackey_glass();
   const WindowDataset train(mg.train, 4, 1);
 
   std::vector<std::string> serialised;
   for (const ef::core::MatchBackend backend :
-       {ef::core::MatchBackend::kScalar, ef::core::MatchBackend::kSoa,
-        ef::core::MatchBackend::kSoaPrefilter, ef::core::MatchBackend::kAvx2,
-        ef::core::MatchBackend::kRuleMajor, ef::core::MatchBackend::kAuto}) {
+       {ef::core::MatchBackend::kScalar, ef::core::MatchBackend::kAuto}) {
     auto cfg = small_config();
     cfg.evolution.match_backend = backend;
     const auto result = ef::core::train(train, {.config = cfg});
@@ -106,11 +104,9 @@ TEST(Determinism, IndependentOfMatchBackend) {
     result.system.save(buffer);
     serialised.push_back(buffer.str());
   }
-  ASSERT_EQ(serialised.size(), 6u);
+  ASSERT_EQ(serialised.size(), 2u);
   EXPECT_FALSE(serialised[0].empty());
-  for (std::size_t i = 1; i < serialised.size(); ++i) {
-    EXPECT_EQ(serialised[0], serialised[i]) << "backend index " << i;
-  }
+  EXPECT_EQ(serialised[0], serialised[1]);
 }
 
 TEST(Determinism, IslandTrainingBatchedPathMatchesScalar) {
@@ -123,7 +119,7 @@ TEST(Determinism, IslandTrainingBatchedPathMatchesScalar) {
 
   std::vector<std::string> serialised;
   for (const ef::core::MatchBackend backend :
-       {ef::core::MatchBackend::kScalar, ef::core::MatchBackend::kRuleMajor}) {
+       {ef::core::MatchBackend::kScalar, ef::core::MatchBackend::kAuto}) {
     auto cfg = small_config();
     cfg.evolution.match_backend = backend;
     const auto result =

@@ -1,9 +1,11 @@
-// Property tests for the pluggable match backends: every backend must
-// produce exactly the same ascending index set as the scalar serial
-// reference (match_indices_serial), across wildcard densities, window
-// sizes, selectivities, and datasets large enough to trigger the parallel
-// chunked path. Bit-identical match sets are the contract that makes the
-// backend choice purely a speed knob.
+// Property tests for the match paths: both MatchEngine backends (kScalar and
+// the production kAuto) and the kernels they dispatch to — the prefilter at
+// each SIMD width, the rule-major batch kernel — must produce exactly the
+// same ascending index set as the scalar serial reference
+// (match_indices_serial), across wildcard densities, window sizes,
+// selectivities, and datasets large enough to trigger the parallel chunked
+// path. Bit-identical match sets are the contract that lets cpuid pick the
+// kernel.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,9 +29,7 @@ using ef::core::Rule;
 using ef::core::WindowDataset;
 using ef::series::TimeSeries;
 
-constexpr MatchBackend kAllBackends[] = {MatchBackend::kScalar, MatchBackend::kSoa,
-                                         MatchBackend::kSoaPrefilter, MatchBackend::kAvx2,
-                                         MatchBackend::kRuleMajor};
+constexpr MatchBackend kAllBackends[] = {MatchBackend::kScalar, MatchBackend::kAuto};
 
 TimeSeries random_series(std::size_t n, std::uint64_t seed) {
   ef::util::Rng rng(seed);
@@ -57,22 +57,48 @@ Rule random_rule(std::size_t d, double wildcard_prob, std::uint64_t seed) {
   return Rule(std::move(genes));
 }
 
+/// The prefilter kernel called directly with the SSE2 (avx2=false) and, where
+/// the CPU has it, the AVX2 byte scan — so the SSE2 path runs on AVX2 hosts
+/// too — over [0, count) and over ranges split at offsets that are not
+/// multiples of either lane width.
+void expect_prefilter_widths_match(const WindowDataset& data, const Rule& rule,
+                                   const std::vector<std::size_t>& expected, const char* what) {
+  const std::size_t m = data.count();
+  for (const bool avx2 : {false, true}) {
+    std::vector<std::size_t> whole;
+    ef::core::matchkern::soa_prefilter_match(data.lag_major(), rule.genes(), 0, m, whole,
+                                             nullptr, avx2);
+    EXPECT_EQ(whole, expected) << what << " avx2=" << avx2;
+
+    std::vector<std::size_t> split;
+    std::size_t pruned = 0;
+    const std::size_t cuts[] = {0, std::min(m, std::size_t{37}), std::min(m, m / 2 + 5), m};
+    for (std::size_t c = 0; c + 1 < std::size(cuts); ++c) {
+      ef::core::matchkern::soa_prefilter_match(data.lag_major(), rule.genes(), cuts[c],
+                                               cuts[c + 1], split, &pruned, avx2);
+    }
+    EXPECT_EQ(split, expected) << what << " split avx2=" << avx2;
+    EXPECT_LE(pruned + expected.size(), m) << what << " avx2=" << avx2;
+  }
+}
+
 void expect_backends_match_reference(const WindowDataset& data, const Rule& rule,
                                      ef::util::ThreadPool* pool, const char* what) {
   const MatchEngine reference(data);
   const std::vector<std::size_t> expected = reference.match_indices_serial(rule);
   for (const MatchBackend backend : kAllBackends) {
     const MatchEngine engine(data, pool, backend);
-    const auto got = engine.match_indices(rule);
-    EXPECT_EQ(got, expected) << what << " backend=" << ef::core::to_string(backend);
-    EXPECT_EQ(engine.match_count(rule), expected.size())
+    EXPECT_EQ(engine.match_indices(rule), expected)
         << what << " backend=" << ef::core::to_string(backend);
+  }
+  if (rule.genes().size() == data.window()) {
+    expect_prefilter_widths_match(data, rule, expected, what);
   }
 }
 
 /// Batched contract: match_all(rules)[r] must equal the scalar serial
-/// reference of rules[r] under every backend (only kRuleMajor actually
-/// batches; the rest loop per rule — both must agree bit-for-bit).
+/// reference of rules[r] under both backends (kAuto runs the rule-major
+/// kernel; kScalar loops per rule — both must agree bit-for-bit).
 void expect_match_all_matches_reference(const WindowDataset& data,
                                         const std::vector<Rule>& rules,
                                         ef::util::ThreadPool* pool, const char* what) {
@@ -105,8 +131,8 @@ TEST(MatchBackends, AgreeAcrossWildcardDensitiesAndWindows) {
 
 TEST(MatchBackends, AgreeOnParallelChunkedPath) {
   // > 4096 windows and an explicit multi-worker pool: the chunked parallel
-  // path must concatenate per-chunk results in dataset order for every
-  // backend.
+  // path must concatenate per-chunk results in dataset order for both
+  // backends.
   const TimeSeries s = random_series(20000, 29);
   const WindowDataset data(s, 4, 1);
   ef::util::ThreadPool pool(4);
@@ -124,7 +150,7 @@ TEST(MatchBackends, AllWildcardRuleMatchesEverything) {
   const Rule rule(std::vector<Interval>(5, Interval::wildcard()));
   for (const MatchBackend backend : kAllBackends) {
     const MatchEngine engine(data, nullptr, backend);
-    EXPECT_EQ(engine.match_count(rule), data.count())
+    EXPECT_EQ(engine.match_indices(rule).size(), data.count())
         << ef::core::to_string(backend);
   }
   expect_backends_match_reference(data, rule, nullptr, "all-wildcard");
@@ -169,28 +195,38 @@ TEST(MatchBackends, NanSemanticsAgreeAtKernelLevel) {
   rows[20 * kWindow + 0] = std::numeric_limits<double>::quiet_NaN();
   rows[33 * kWindow + 2] = std::numeric_limits<double>::quiet_NaN();
 
-  std::vector<double> lag_major(kCount * kWindow);
+  // The quantized lag-major columns the prefilter scans, built with the
+  // dataset's monotone byte map (NaN quantizes to 0).
+  const double qmin = 0.0;
+  const double qinv = 255.0;  // values in [0,1)
+  std::vector<std::uint8_t> qcols(kCount * kWindow);
   for (std::size_t i = 0; i < kCount; ++i) {
     for (std::size_t j = 0; j < kWindow; ++j) {
-      lag_major[j * kCount + i] = rows[i * kWindow + j];
+      qcols[j * kCount + i] = ef::core::quantize_value(rows[i * kWindow + j], qmin, qinv);
     }
   }
-  const ef::core::LagMajorView view{lag_major.data(), kCount, kWindow};
+  ef::core::LagMajorView view{};
+  view.count = kCount;
+  view.window = kWindow;
+  view.rows = rows.data();
+  view.qdata = qcols.data();
+  view.qmin = qmin;
+  view.qinv = qinv;
 
   std::uint64_t seed = 90;
   for (const double wc : {0.0, 0.5, 1.0}) {
     for (int trial = 0; trial < 8; ++trial) {
       const Rule rule = random_rule(kWindow, wc, ++seed);
       std::vector<std::size_t> scalar_out;
-      std::vector<std::size_t> soa_out;
-      std::vector<std::size_t> prefilter_out;
       ef::core::matchkern::scalar_match(rows.data(), kWindow, rule.genes(), 0, kCount,
                                         scalar_out);
-      ef::core::matchkern::soa_match(view, rule.genes(), 0, kCount, soa_out);
-      ef::core::matchkern::soa_prefilter_match(view, rule.genes(), 0, kCount,
-                                               prefilter_out);
-      EXPECT_EQ(soa_out, scalar_out) << "wc=" << wc << " trial=" << trial;
-      EXPECT_EQ(prefilter_out, scalar_out) << "wc=" << wc << " trial=" << trial;
+      for (const bool avx2 : {false, true}) {
+        std::vector<std::size_t> prefilter_out;
+        ef::core::matchkern::soa_prefilter_match(view, rule.genes(), 0, kCount,
+                                                 prefilter_out, nullptr, avx2);
+        EXPECT_EQ(prefilter_out, scalar_out)
+            << "wc=" << wc << " trial=" << trial << " avx2=" << avx2;
+      }
       // Any row containing NaN must be absent unless every NaN lag is
       // wildcarded.
       for (const std::size_t i : {std::size_t{5}, std::size_t{20}, std::size_t{33}}) {
@@ -203,33 +239,6 @@ TEST(MatchBackends, NanSemanticsAgreeAtKernelLevel) {
       }
     }
   }
-}
-
-TEST(MatchBackends, ParseAndToStringRoundTrip) {
-  for (const MatchBackend backend : kAllBackends) {
-    const auto parsed = ef::core::parse_match_backend(ef::core::to_string(backend));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, backend);
-  }
-  EXPECT_EQ(ef::core::parse_match_backend("soa+prefilter"), MatchBackend::kSoaPrefilter);
-  EXPECT_EQ(ef::core::parse_match_backend("auto"), MatchBackend::kAuto);
-  EXPECT_FALSE(ef::core::parse_match_backend("definitely-not-a-backend").has_value());
-}
-
-TEST(MatchBackends, DispatchDecision) {
-  using ef::core::pick_match_backend;
-  // Explicit supported choices pass through untouched.
-  for (const MatchBackend backend : kAllBackends) {
-    if (backend == MatchBackend::kAvx2) continue;
-    EXPECT_EQ(pick_match_backend(backend, true), backend);
-    EXPECT_EQ(pick_match_backend(backend, false), backend);
-  }
-  // kAvx2 requires the CPU; without it the choice degrades, never SIGILLs.
-  EXPECT_EQ(pick_match_backend(MatchBackend::kAvx2, true), MatchBackend::kAvx2);
-  EXPECT_EQ(pick_match_backend(MatchBackend::kAvx2, false), MatchBackend::kSoaPrefilter);
-  // kAuto resolves to a concrete backend either way.
-  EXPECT_EQ(pick_match_backend(MatchBackend::kAuto, true), MatchBackend::kRuleMajor);
-  EXPECT_EQ(pick_match_backend(MatchBackend::kAuto, false), MatchBackend::kRuleMajor);
 }
 
 TEST(MatchBackends, RuleMajorBatchAgreesOnRandomRuleSets) {

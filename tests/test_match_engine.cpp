@@ -61,7 +61,6 @@ TEST(MatchEngine, DimensionMismatchMatchesNothing) {
   const MatchEngine engine(data);
   const Rule r({Interval::wildcard(), Interval::wildcard()});  // D=2 vs dataset D=4
   EXPECT_TRUE(engine.match_indices(r).empty());
-  EXPECT_EQ(engine.match_count(r), 0u);
 }
 
 TEST(MatchEngine, ParallelAgreesWithSerialLargeDataset) {
@@ -76,7 +75,6 @@ TEST(MatchEngine, ParallelAgreesWithSerialLargeDataset) {
     const auto serial = engine.match_indices_serial(r);
     const auto parallel = engine.match_indices(r);
     ASSERT_EQ(parallel, serial) << "rule seed " << seed;
-    EXPECT_EQ(engine.match_count(r), serial.size());
   }
 }
 
@@ -96,7 +94,6 @@ TEST(MatchEngine, AllWildcardMatchesEverything) {
   const MatchEngine engine(data);
   const Rule r({Interval::wildcard(), Interval::wildcard(), Interval::wildcard(),
                 Interval::wildcard(), Interval::wildcard(), Interval::wildcard()});
-  EXPECT_EQ(engine.match_count(r), data.count());
   EXPECT_EQ(engine.match_indices(r).size(), data.count());
 }
 
@@ -106,7 +103,7 @@ TEST(MatchEngine, ImpossibleRuleMatchesNothing) {
   const MatchEngine engine(data);
   const Rule r({Interval(5.0, 6.0), Interval::wildcard(), Interval::wildcard(),
                 Interval::wildcard()});  // values live in [0,1]
-  EXPECT_EQ(engine.match_count(r), 0u);
+  EXPECT_TRUE(engine.match_indices(r).empty());
 }
 
 TEST(MatchEngine, SmallDatasetUsesSerialPathCorrectly) {

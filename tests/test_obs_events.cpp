@@ -237,41 +237,41 @@ TEST(EventBridge, MatchBackendResolutionEmitsSelectionEvent) {
   const auto counter_name = [](MatchBackend b) {
     return std::string("match.backend.") + ef::core::to_string(b) + ".selected";
   };
-  std::vector<std::uint64_t> before;
-  for (const MatchBackend b : {MatchBackend::kScalar, MatchBackend::kSoa,
-                               MatchBackend::kSoaPrefilter, MatchBackend::kAvx2,
-                               MatchBackend::kRuleMajor}) {
-    before.push_back(registry.counter(counter_name(b)).value());
-  }
-
-  const MatchBackend selected = ef::core::resolve_match_backend(MatchBackend::kAuto);
-  if (before[static_cast<std::size_t>(selected)] != 0) {
-    GTEST_SKIP() << ef::core::to_string(selected) << " was resolved earlier in this process";
-  }
-  EXPECT_EQ(registry.counter(counter_name(selected)).value(), 1u);
-
-  const Event* found = nullptr;
-  const auto events = EventLog::global().recent();
-  for (const Event& e : events) {
-    if (e.kind == "match.backend_selected") found = &e;
-  }
-  ASSERT_NE(found, nullptr) << "no match.backend_selected event";
-  bool has_backend = false;
-  bool has_avx2 = false;
-  for (const EventField& field : found->fields) {
-    if (field.key == "backend") {
-      has_backend = true;
-      EXPECT_EQ(field.s, ef::core::to_string(selected));
-    } else if (field.key == "avx2_supported") {
-      has_avx2 = true;
-      EXPECT_EQ(field.kind, EventField::Kind::kBool);
-      EXPECT_EQ(field.b, ef::core::cpu_supports_avx2());
+  for (const MatchBackend b : {MatchBackend::kScalar, MatchBackend::kAuto}) {
+    if (registry.counter(counter_name(b)).value() != 0) {
+      GTEST_SKIP() << ef::core::to_string(b) << " was resolved earlier in this process";
     }
   }
-  EXPECT_TRUE(has_backend);
-  EXPECT_TRUE(has_avx2);
-  const auto json = parse_line(found->to_json());
-  EXPECT_TRUE(json.count("backend") == 1 && json.count("avx2_supported") == 1);
+
+  for (const MatchBackend b : {MatchBackend::kScalar, MatchBackend::kAuto}) {
+    SCOPED_TRACE(ef::core::to_string(b));
+    EXPECT_EQ(ef::core::resolve_match_backend(b), b);
+    EXPECT_EQ(registry.counter(counter_name(b)).value(), 1u);
+    // Resolving again changes nothing: the breadcrumb is one-time.
+    EXPECT_EQ(ef::core::resolve_match_backend(b), b);
+    EXPECT_EQ(registry.counter(counter_name(b)).value(), 1u);
+
+    const Event* found = nullptr;
+    const auto events = EventLog::global().recent();
+    for (const Event& e : events) {
+      if (e.kind != "match.backend_selected") continue;
+      for (const EventField& field : e.fields) {
+        if (field.key == "backend" && field.s == ef::core::to_string(b)) found = &e;
+      }
+    }
+    ASSERT_NE(found, nullptr) << "no match.backend_selected event";
+    bool has_avx2 = false;
+    for (const EventField& field : found->fields) {
+      if (field.key == "avx2_supported") {
+        has_avx2 = true;
+        EXPECT_EQ(field.kind, EventField::Kind::kBool);
+        EXPECT_EQ(field.b, ef::core::cpu_supports_avx2());
+      }
+    }
+    EXPECT_TRUE(has_avx2);
+    const auto json = parse_line(found->to_json());
+    EXPECT_TRUE(json.count("backend") == 1 && json.count("avx2_supported") == 1);
+  }
 #endif
 }
 

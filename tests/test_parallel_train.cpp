@@ -1,7 +1,7 @@
-// Tests for train() scheduling (sequential vs islands vs auto) and
-// RuleSystem::predict_with_bound: exact equivalence between schedules,
-// telemetry rules, the deprecated entry points, and empirical calibration of
-// the uncertainty bound.
+// Tests for train() scheduling (sequential vs islands vs auto) and the
+// uncertainty bound RuleSystem::forecast reports: exact equivalence between
+// schedules, telemetry rules, the deprecated entry points, and empirical
+// calibration of the bound.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -158,11 +158,13 @@ TEST(ParallelTrain, AutoWithTelemetryFallsBackToSequential) {
   EXPECT_FALSE(collector.empty());
 }
 
-// ---- predict_with_bound -----------------------------------------------------
+// ---- Prediction::bound ------------------------------------------------------
 
 TEST(PredictWithBound, AbstainsWithNoVotes) {
   const ef::core::RuleSystem empty;
-  EXPECT_FALSE(empty.predict_with_bound(std::vector<double>{1.0}).has_value());
+  const ef::core::Prediction out = empty.forecast(std::vector<double>{1.0});
+  EXPECT_TRUE(out.abstained);
+  EXPECT_EQ(out.votes, 0u);
 }
 
 TEST(PredictWithBound, SingleRuleBoundIsItsError) {
@@ -177,11 +179,11 @@ TEST(PredictWithBound, SingleRuleBoundIsItsError) {
   ef::core::RuleSystem system;
   system.add_rules({std::move(r)}, false, -1.0);
 
-  const auto out = system.predict_with_bound(std::vector<double>{2.0});
-  ASSERT_TRUE(out.has_value());
-  EXPECT_DOUBLE_EQ(out->value, 5.0);
-  EXPECT_DOUBLE_EQ(out->bound, 0.25);  // no disagreement term with one voter
-  EXPECT_EQ(out->votes, 1u);
+  const ef::core::Prediction out = system.forecast(std::vector<double>{2.0});
+  ASSERT_FALSE(out.abstained);
+  EXPECT_DOUBLE_EQ(out.value, 5.0);
+  EXPECT_DOUBLE_EQ(out.bound, 0.25);  // no disagreement term with one voter
+  EXPECT_EQ(out.votes, 1u);
 }
 
 TEST(PredictWithBound, DisagreementWidensBound) {
@@ -198,10 +200,10 @@ TEST(PredictWithBound, DisagreementWidensBound) {
   };
   ef::core::RuleSystem system;
   system.add_rules({make(4.0, 0.1), make(8.0, 0.1)}, false, -1.0);
-  const auto out = system.predict_with_bound(std::vector<double>{1.0});
-  ASSERT_TRUE(out.has_value());
-  EXPECT_DOUBLE_EQ(out->value, 6.0);
-  EXPECT_DOUBLE_EQ(out->bound, 2.1);  // |8−6| + 0.1
+  const ef::core::Prediction out = system.forecast(std::vector<double>{1.0});
+  ASSERT_FALSE(out.abstained);
+  EXPECT_DOUBLE_EQ(out.value, 6.0);
+  EXPECT_DOUBLE_EQ(out.bound, 2.1);  // |8−6| + 0.1
 }
 
 TEST(PredictWithBound, EmpiricallyCalibratedOnMackeyGlass) {
@@ -221,10 +223,10 @@ TEST(PredictWithBound, EmpiricallyCalibratedOnMackeyGlass) {
   std::size_t covered = 0;
   std::size_t inside = 0;
   for (std::size_t i = 0; i < test.count(); ++i) {
-    const auto out = trained.system.predict_with_bound(test.pattern(i));
-    if (!out) continue;
+    const ef::core::Prediction out = trained.system.forecast(test.pattern(i));
+    if (out.abstained) continue;
     ++covered;
-    if (std::abs(test.target(i) - out->value) <= out->bound) ++inside;
+    if (std::abs(test.target(i) - out.value) <= out.bound) ++inside;
   }
   ASSERT_GT(covered, 50u);
   // Heuristic bound: expect strong but not perfect containment out-of-sample.

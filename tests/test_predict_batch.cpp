@@ -3,6 +3,7 @@
 // abstention positions and vote counts.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -128,6 +129,33 @@ TEST(ForecastBatch, EmptyBatchAndValidation) {
   const std::vector<double> flat{0.1, 0.2, 0.3, 0.4};
   EXPECT_THROW((void)system.forecast_batch(flat, 0), std::invalid_argument);
   EXPECT_THROW((void)system.forecast_batch(flat, 3), std::invalid_argument);
+}
+
+TEST(ForecastBatch, NanWindowsAndMixedRuleSetsMatchVoteCount) {
+  // Windows carrying NaN (a bounded gene rejects it, a wildcard accepts it)
+  // against a rule set mixing wrong-dimension and all-wildcard rules: every
+  // position's votes and abstention must equal the scalar predicate's.
+  const std::size_t window = 3;
+  RuleSystem system = make_system();
+  system.add_rules({make_rule({Interval(0.0, 1.0), Interval(0.0, 1.0)}, {0.1, 0.2, 0.3}, 1.0,
+                              0.1),  // wrong dimension
+                    make_rule(std::vector<Interval>(window, Interval::wildcard()),
+                              {0.0, 0.0, 0.0, 0.25}, 0.5, 0.3)},
+                   /*discard_unfit=*/false, /*f_min=*/-1.0);
+  std::vector<double> flat = make_probes(300, window);
+  ef::util::Rng rng(7);
+  for (std::size_t i = 0; i < flat.size(); i += 1 + rng.index(9)) {
+    flat[i] = std::numeric_limits<double>::quiet_NaN();
+  }
+  for (const Aggregation how : kAllAggregations) {
+    const auto batch = system.forecast_batch(flat, window, how);
+    ASSERT_EQ(batch.size(), 300u);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const std::span<const double> w(flat.data() + i * window, window);
+      ASSERT_EQ(batch[i].votes, system.vote_count(w)) << "position " << i;
+      ASSERT_EQ(batch[i].abstained, system.forecast(w, how).abstained) << "position " << i;
+    }
+  }
 }
 
 TEST(ForecastBatch, EmptySystemAbstainsEverywhere) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
 #include <vector>
 
@@ -32,6 +33,35 @@ Rule make_rule(std::vector<Interval> genes, double prediction, double fitness,
   part.fitness = fitness;
   r.set_predicting(part);
   return r;
+}
+
+/// Windows with one lag replaced by ±1e300 — finite, so a served request
+/// carries them past validation — for every lag in turn, so whichever
+/// dimension the index picked sees a value far outside its bucket range.
+std::vector<std::vector<double>> huge_value_probes(const std::vector<double>& base) {
+  std::vector<std::vector<double>> probes;
+  for (std::size_t j = 0; j < base.size(); ++j) {
+    for (const double huge : {1e300, -1e300}) {
+      probes.push_back(base);
+      probes.back()[j] = huge;
+    }
+  }
+  return probes;
+}
+
+/// Index and brute-force forecasts agree exactly: same abstention, same
+/// vote count, same value (NaN, from opposing infinite votes, equals NaN).
+void expect_same_forecast(const RuleSystem& system, const RuleIndex& index,
+                          const std::vector<double>& w, Aggregation how = Aggregation::kMean) {
+  const ef::core::Prediction direct = system.forecast(w, how);
+  const ef::core::Prediction indexed = index.forecast(w, how);
+  ASSERT_EQ(direct.abstained, indexed.abstained);
+  ASSERT_EQ(direct.votes, indexed.votes);
+  if (!direct.abstained) {
+    ASSERT_TRUE(direct.value == indexed.value ||
+                (std::isnan(direct.value) && std::isnan(indexed.value)))
+        << direct.value << " vs " << indexed.value;
+  }
 }
 
 TEST(RuleIndex, ConstructionValidation) {
@@ -80,6 +110,14 @@ TEST(RuleIndex, AgreesWithBruteForceOnHandSystem) {
     }
     ASSERT_EQ(system.vote_count(w), index.vote_count(w));
   }
+  for (const auto& w : huge_value_probes({0.35, 0.3})) {
+    for (const auto how :
+         {Aggregation::kMean, Aggregation::kFitnessWeighted, Aggregation::kMedian,
+          Aggregation::kBestRule, Aggregation::kInverseError}) {
+      expect_same_forecast(system, index, w, how);
+    }
+    ASSERT_EQ(system.vote_count(w), index.vote_count(w));
+  }
 }
 
 TEST(RuleIndex, AgreesWithBruteForceOnTrainedSystem) {
@@ -103,6 +141,12 @@ TEST(RuleIndex, AgreesWithBruteForceOnTrainedSystem) {
     ASSERT_EQ(direct.has_value(), indexed.has_value()) << i;
     if (direct) {
       ASSERT_DOUBLE_EQ(*direct, *indexed) << i;
+    }
+  }
+  for (std::size_t i = 0; i < test.count(); i += 25) {
+    const auto p = test.pattern(i);
+    for (const auto& w : huge_value_probes({p.begin(), p.end()})) {
+      expect_same_forecast(trained.system, index, w);
     }
   }
   // The index must actually prune on a trained (specific) rule set.

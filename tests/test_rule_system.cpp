@@ -11,6 +11,7 @@
 #include "core/evolution.hpp"
 #include "series/timeseries.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -101,6 +102,65 @@ TEST(RuleSystem, CoveragePercent) {
   RuleSystem system;
   system.add_rules({constant_rule({Interval(0, 3), Interval::wildcard()}, 7.0)}, false, -1.0);
   EXPECT_DOUBLE_EQ(system.coverage_percent(data), 100.0 * 4.0 / 8.0);
+}
+
+/// Random rule of window `d` with a constant predicting part; each gene is
+/// a wildcard with probability `wildcard_prob`, else a raw random interval.
+Rule random_rule(std::size_t d, double wildcard_prob, ef::util::Rng& rng) {
+  std::vector<Interval> genes;
+  for (std::size_t j = 0; j < d; ++j) {
+    if (rng.bernoulli(wildcard_prob)) {
+      genes.push_back(Interval::wildcard());
+      continue;
+    }
+    double a = rng.uniform(0.0, 1.0);
+    double b = rng.uniform(0.0, 1.0);
+    if (a > b) std::swap(a, b);
+    genes.emplace_back(a, b);
+  }
+  return constant_rule(std::move(genes), rng.uniform(0.0, 1.0));
+}
+
+TEST(RuleSystem, CoverageAgreesWithVoteCountOnRandomRuleSets) {
+  // Differential: coverage_percent runs the batched rule-major kernel;
+  // vote_count is the per-rule scalar predicate. The rule sets mix in
+  // wrong-dimension rules, all-wildcard rules and non-predicting rules
+  // (add_rules drops the latter, so they must not count). NaN windows cannot
+  // reach a WindowDataset (TimeSeries rejects them); the ForecastBatch tests
+  // drive the same kernel with NaN windows.
+  ef::util::Rng rng(2024);
+  std::vector<double> v(7000);
+  for (double& x : v) x = rng.uniform(0.0, 1.0);
+  const TimeSeries series(std::move(v));
+  ef::util::ThreadPool pool(4);
+  for (const std::size_t d : {std::size_t{1}, std::size_t{3}, std::size_t{5}}) {
+    const WindowDataset data(series, d, 1);
+    for (int trial = 0; trial < 6; ++trial) {
+      std::vector<Rule> rules;
+      const std::size_t n = 1 + rng.index(70);
+      for (std::size_t r = 0; r < n; ++r) {
+        rules.push_back(random_rule(d, 0.2 * static_cast<double>(r % 4), rng));
+      }
+      rules.push_back(random_rule(d + 1, 0.5, rng));   // wrong dimension
+      if (d > 1) rules.push_back(random_rule(d - 1, 0.5, rng));
+      rules.emplace_back(std::vector<Interval>(d, Interval::wildcard()));  // non-predicting
+      if (trial % 2 == 1) {
+        rules.push_back(constant_rule(std::vector<Interval>(d, Interval::wildcard()), 0.5));
+      }
+      RuleSystem system;
+      system.add_rules(std::move(rules), false, -1.0);
+
+      std::size_t covered = 0;
+      for (std::size_t i = 0; i < data.count(); ++i) {
+        if (system.vote_count(data.pattern(i)) > 0) ++covered;
+      }
+      const double expected =
+          100.0 * static_cast<double>(covered) / static_cast<double>(data.count());
+      EXPECT_EQ(system.coverage_percent(data), expected) << "d=" << d << " trial=" << trial;
+      EXPECT_EQ(system.coverage_percent(data, &pool), expected)
+          << "d=" << d << " trial=" << trial << " (4 workers)";
+    }
+  }
 }
 
 TEST(RuleSystem, SaveLoadRoundTrip) {
