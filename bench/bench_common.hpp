@@ -7,6 +7,7 @@
 // sweep script can tune without recompiling.
 #pragma once
 
+#include <chrono>
 #include <cstdio>
 #include <optional>
 #include <string>
@@ -15,7 +16,6 @@
 #include "baselines/forecaster.hpp"
 #include "core/rule_system.hpp"
 #include "obs/run_report.hpp"
-#include "obs/trace.hpp"
 #include "series/metrics.hpp"
 
 namespace ef::bench {
@@ -26,6 +26,11 @@ namespace ef::bench {
   out.reserve(data.count());
   for (std::size_t i = 0; i < data.count(); ++i) out.push_back(data.target(i));
   return out;
+}
+
+/// Wall-clock seconds since `start`.
+[[nodiscard]] inline double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
 /// Outcome of one rule-system experiment on one horizon.
@@ -43,12 +48,12 @@ struct RuleSystemOutcome {
                                                        const core::WindowDataset& validation,
                                                        const core::RuleSystemConfig& config) {
   RuleSystemOutcome out;
-  const obs::ScopedTimer timer("bench.run_rule_system");
+  const auto start = std::chrono::steady_clock::now();
   // Sequential schedule: train_seconds must stay comparable across runs and
   // with the committed baselines, so the schedule is pinned rather than kAuto.
   auto result = core::train(train, {.config = config,
                                     .parallelism = core::TrainParallelism::kSequential});
-  out.train_seconds = timer.elapsed_seconds();
+  out.train_seconds = seconds_since(start);
   out.rules = result.system.size();
   out.executions = result.executions;
   out.forecast = result.system.forecast_dataset(validation);
@@ -69,9 +74,9 @@ struct BaselineOutcome {
                                                   const core::WindowDataset& train,
                                                   const core::WindowDataset& validation) {
   BaselineOutcome out;
-  const obs::ScopedTimer timer("bench.run_baseline");
+  const auto start = std::chrono::steady_clock::now();
   model.fit(train);
-  out.train_seconds = timer.elapsed_seconds();
+  out.train_seconds = seconds_since(start);
   const auto predictions = model.predict_all(validation);
   const auto actual = targets_of(validation);
   out.rmse = series::rmse(actual, predictions);

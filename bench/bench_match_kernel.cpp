@@ -156,7 +156,7 @@ int main(int argc, char** argv) {
   }
   // Root trace covering training (generation spans land under it via
   // ef::core::train) and the timed backend sweeps below.
-  const ef::obs::TraceScope bench_trace("bench.match_kernel");
+  const ef::obs::Span bench_trace("bench.match_kernel", ef::obs::kRoot);
 
   // The paper's Mackey-Glass embedding: D = 4 lags, horizon τ = 6.
   const auto series = ef::series::generate_mackey_glass(series_len);
@@ -209,7 +209,7 @@ int main(int argc, char** argv) {
 
   std::vector<KernelResult> results;
   for (const Kernel& kernel : kKernels) {
-    ef::obs::SpanScope sweep_span("bench.sweep");
+    ef::obs::Span sweep_span("bench.sweep");
     sweep_span.set_arg("kernel", static_cast<double>(results.size()));
     KernelResult r;
     r.name = kernel.name;

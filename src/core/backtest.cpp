@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "obs/macros.hpp"
+#include "obs/timeline.hpp"
 
 namespace ef::core {
 
@@ -11,7 +12,7 @@ BacktestResult backtest_rule_system(const series::TimeSeries& series,
                                     const RuleSystemConfig& config,
                                     const BacktestOptions& options,
                                     util::ThreadPool* pool) {
-  EVOFORECAST_TRACE("core.backtest");
+  const obs::Span span("core.backtest");
   const std::size_t reach = (options.window - 1) * options.stride + options.horizon;
   const std::size_t min_train = reach + 2;  // at least two training windows
 
@@ -38,7 +39,7 @@ BacktestResult backtest_rule_system(const series::TimeSeries& series,
   for (std::size_t origin = initial_train;
        origin + reach < series.size() && result.folds.size() < options.max_folds;
        origin += fold_size) {
-    EVOFORECAST_TRACE("core.backtest.fold");
+    const obs::Span fold_span("core.backtest.fold");
     const std::size_t train_begin =
         options.rolling && origin > initial_train ? origin - initial_train : 0;
     const series::TimeSeries train_slice = series.slice(train_begin, origin);

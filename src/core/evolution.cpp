@@ -70,10 +70,7 @@ SteadyStateEngine::SteadyStateEngine(const WindowDataset& data, EvolutionConfig 
 }
 
 bool SteadyStateEngine::step() {
-  EVOFORECAST_TRACE("core.evolution.step");
-  // One timeline span per generation when a core.train trace is live; a
-  // single thread-local check otherwise.
-  const obs::SpanScope generation_span("train.generation");
+  const obs::Span span("core.evolution.step");
   ++generation_;
 
   const ParentPair parents = select_parents(population_, config_.tournament_rounds, rng_);
@@ -109,7 +106,7 @@ bool SteadyStateEngine::step() {
 }
 
 void SteadyStateEngine::run() {
-  EVOFORECAST_TRACE("core.evolution.run");
+  const obs::Span span("core.evolution.run");
   while (generation_ < config_.generations) step();
 }
 

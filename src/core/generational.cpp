@@ -48,8 +48,7 @@ void GenerationalEngine::emit_telemetry() {
 }
 
 std::size_t GenerationalEngine::step() {
-  EVOFORECAST_TRACE("core.generational.step");
-  const obs::SpanScope generation_span("train.generation");
+  const obs::Span span("core.generational.step");
   ++generation_;
 
   // Elites: indices of the top-k by fitness, copied unchanged.

@@ -3,6 +3,7 @@
 #include <chrono>
 
 #include "obs/macros.hpp"
+#include "obs/timeline.hpp"
 
 namespace ef::core {
 namespace {
@@ -64,7 +65,7 @@ std::vector<std::size_t> MatchEngine::match_indices_serial(const Rule& rule) con
 }
 
 std::vector<std::size_t> MatchEngine::match_indices(const Rule& rule) const {
-  EVOFORECAST_TRACE("core.match");
+  const obs::Span span("core.match");
   const std::size_t m = data_.count();
   EVOFORECAST_COUNT("match.calls", 1);
   EVOFORECAST_COUNT("match.windows_scanned", m);
@@ -104,7 +105,7 @@ std::vector<std::size_t> MatchEngine::match_indices(const Rule& rule) const {
 
 std::vector<std::vector<std::size_t>> MatchEngine::match_all(
     std::span<const Rule> rules) const {
-  EVOFORECAST_TRACE("core.match_all");
+  const obs::Span span("core.match_all");
   const std::size_t m = data_.count();
   const std::size_t n = rules.size();
   std::vector<std::vector<std::size_t>> out(n);

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "obs/macros.hpp"
+#include "obs/timeline.hpp"
 
 namespace ef::core {
 
@@ -62,7 +63,7 @@ template <typename RowAt, typename Accumulate>
 LinearFit fit_impl(std::size_t row_count, std::size_t dim, RowAt&& row_at,
                    Accumulate&& accumulate, const RegressionOptions& options) {
   if (row_count == 0) throw std::invalid_argument("fit_hyperplane: no rows");
-  EVOFORECAST_TRACE("core.regression");
+  const obs::Span span("core.regression");
   EVOFORECAST_COUNT("regression.fits", 1);
   EVOFORECAST_COUNT("regression.rows", row_count);
 

@@ -156,7 +156,7 @@ std::size_t RuleSystem::vote_count(std::span<const double> window) const {
 
 series::PartialForecast RuleSystem::forecast_dataset(const WindowDataset& data,
                                                      util::ThreadPool* pool) const {
-  EVOFORECAST_TRACE("core.forecast_dataset");
+  const obs::Span span("core.forecast_dataset");
   series::PartialForecast out(data.count());
   util::ThreadPool& tp = pool ? *pool : util::ThreadPool::shared();
   tp.parallel_for(0, data.count(), [&](std::size_t begin, std::size_t end) {
@@ -168,7 +168,7 @@ series::PartialForecast RuleSystem::forecast_dataset(const WindowDataset& data,
 series::PartialForecast RuleSystem::forecast_dataset(const WindowDataset& data,
                                                      Aggregation how,
                                                      util::ThreadPool* pool) const {
-  EVOFORECAST_TRACE("core.forecast_dataset");
+  const obs::Span span("core.forecast_dataset");
   series::PartialForecast out(data.count());
   util::ThreadPool& tp = pool ? *pool : util::ThreadPool::shared();
   tp.parallel_for(0, data.count(), [&](std::size_t begin, std::size_t end) {
@@ -179,7 +179,7 @@ series::PartialForecast RuleSystem::forecast_dataset(const WindowDataset& data,
 }
 
 double RuleSystem::coverage_percent(const WindowDataset& data, util::ThreadPool* pool) const {
-  EVOFORECAST_TRACE("core.coverage_scan");
+  const obs::Span span("core.coverage_scan");
   if (data.count() == 0) return 0.0;
   EVOFORECAST_COUNT("coverage.scans", 1);
   EVOFORECAST_COUNT("coverage.windows_tested", data.count());
@@ -349,8 +349,7 @@ void RuleSystem::describe(std::ostream& out, std::size_t top_n) const {
 
 TrainResult extend_rule_system(const RuleSystem& existing, const WindowDataset& train,
                                const RuleSystemConfig& config, util::ThreadPool* pool) {
-  EVOFORECAST_TRACE("core.train.extend");
-  const obs::TraceScope timeline("core.train");
+  const obs::Span span("core.train.extend", obs::kRoot);
   config.validate();
 
   SteadyStateEngine engine(train, config.evolution,
@@ -377,7 +376,6 @@ namespace {
 /// Island schedule: all executions concurrently, unioned in island order.
 TrainResult train_islands(const WindowDataset& train, const RuleSystemConfig& config,
                           util::ThreadPool* pool) {
-  EVOFORECAST_TRACE("core.train_parallel");
   util::ThreadPool& tp = pool ? *pool : util::ThreadPool::shared();
 
   // Same seed schedule as the sequential trainer.
@@ -391,15 +389,14 @@ TrainResult train_islands(const WindowDataset& train, const RuleSystemConfig& co
   // sentinel pool) so a pool worker never blocks on nested parallel_for.
   static util::ThreadPool inline_pool(1);
   std::vector<std::vector<Rule>> islands(config.max_executions);
-  // Pool workers adopt the caller's trace context so island execution spans
+  // Island execution spans open under the caller's trace context so they
   // land in the same timeline despite the thread hop.
   const obs::TraceContext trace_ctx = obs::current_context();
   tp.parallel_for(
       0, config.max_executions,
       [&](std::size_t begin, std::size_t end) {
-        const obs::ContextGuard trace_guard(trace_ctx);
         for (std::size_t exec = begin; exec < end; ++exec) {
-          obs::SpanScope execution_span("train.execution");
+          obs::Span execution_span("core.train.execution", trace_ctx);
           execution_span.set_arg("execution", static_cast<double>(exec + 1));
           EvolutionConfig run_config = config.evolution;
           run_config.seed = seeds[exec];
@@ -433,12 +430,10 @@ TrainResult train_islands(const WindowDataset& train, const RuleSystemConfig& co
 /// Sequential schedule: one execution after another; supports telemetry.
 TrainResult train_sequential(const WindowDataset& train, const RuleSystemConfig& config,
                              util::ThreadPool* pool, const TelemetrySink& telemetry) {
-  EVOFORECAST_TRACE("core.train");
   TrainResult result;
   util::Rng seeder(config.evolution.seed);
   for (std::size_t exec = 0; exec < config.max_executions; ++exec) {
-    EVOFORECAST_TRACE("core.train.execution");
-    obs::SpanScope execution_span("train.execution");
+    obs::Span execution_span("core.train.execution");
     execution_span.set_arg("execution", static_cast<double>(exec + 1));
     EvolutionConfig run_config = config.evolution;
     // First execution uses the configured seed verbatim (reproducing a
@@ -468,10 +463,9 @@ TrainResult train_sequential(const WindowDataset& train, const RuleSystemConfig&
 }  // namespace
 
 TrainResult train(const WindowDataset& data, const TrainOptions& options) {
-  // Timeline root for the whole training run: execution and generation
-  // spans below nest under it (child span when a request trace is already
-  // active — e.g. future in-server evolution).
-  const obs::TraceScope timeline("core.train");
+  // Root span of the whole training run: execution and generation spans
+  // nest under it (a child span when a request trace is already active).
+  const obs::Span span("core.train", obs::kRoot);
   RuleSystemConfig config = options.config;
   if (options.seed) config.evolution.seed = *options.seed;
   config.validate();

@@ -24,7 +24,7 @@
 // bit-identical match sets.
 //
 // Layering (each header is also individually includable):
-//   obs/       metrics registry, scoped tracing, run reports
+//   obs/       metrics registry, spans, run reports
 //   util/      seeded RNG, thread pool, running stats, CLI
 //   series/    data containers, generators, metrics, transforms, analysis
 //   core/      the paper's rule system + extensions (tuning, backtesting,
@@ -43,7 +43,7 @@
 #include "obs/macros.hpp"      // IWYU pragma: export
 #include "obs/metrics.hpp"     // IWYU pragma: export
 #include "obs/run_report.hpp"  // IWYU pragma: export
-#include "obs/trace.hpp"       // IWYU pragma: export
+#include "obs/timeline.hpp"    // IWYU pragma: export
 
 // util
 #include "util/cli.hpp"            // IWYU pragma: export

@@ -25,7 +25,7 @@ std::uint64_t derive_series_seed(std::uint64_t base_seed, std::string_view id) {
 
 FleetTrainResult train_fleet(std::span<const SeriesRecord> fleet,
                              const FleetTrainOptions& options) {
-  const obs::TraceScope timeline("fleet.train");
+  const obs::Span root_span("fleet.train", obs::kRoot);
   const auto start = std::chrono::steady_clock::now();
 
   FleetTrainResult result;
@@ -37,17 +37,15 @@ FleetTrainResult train_fleet(std::span<const SeriesRecord> fleet,
   // uses. The across-series loop is where the cores go.
   static util::ThreadPool inline_pool(1);
   util::ThreadPool& tp = options.pool ? *options.pool : util::ThreadPool::shared();
-  const obs::TraceContext trace_ctx = obs::current_context();
   tp.parallel_for(
       0, fleet.size(),
       [&](std::size_t begin, std::size_t end) {
-        const obs::ContextGuard trace_guard(trace_ctx);
         for (std::size_t i = begin; i < end; ++i) {
           const SeriesRecord& record = fleet[i];
           TrainedSeries& out = result.models[i];
           out.id = record.id;
           out.seed = derive_series_seed(options.config.evolution.seed, record.id);
-          obs::SpanScope span("fleet.train_series");
+          obs::Span span("fleet.train_series", root_span.context());
           span.set_arg("series", static_cast<double>(i));
           try {
             const core::WindowDataset data(record.series, options.window, options.horizon,

@@ -63,7 +63,7 @@ SeriesEvaluation evaluate_one(const SeriesRecord& record, const CorpusOptions& o
 }  // namespace
 
 CorpusResult evaluate_fleet(std::span<const SeriesRecord> fleet, const CorpusOptions& options) {
-  const obs::TraceScope timeline("fleet.evaluate");
+  const obs::Span root_span("fleet.evaluate", obs::kRoot);
   const auto start = std::chrono::steady_clock::now();
 
   CorpusResult result;
@@ -72,13 +72,11 @@ CorpusResult evaluate_fleet(std::span<const SeriesRecord> fleet, const CorpusOpt
   static util::ThreadPool inline_pool(1);
   util::ThreadPool& tp =
       options.train.pool ? *options.train.pool : util::ThreadPool::shared();
-  const obs::TraceContext trace_ctx = obs::current_context();
   tp.parallel_for(
       0, fleet.size(),
       [&](std::size_t begin, std::size_t end) {
-        const obs::ContextGuard trace_guard(trace_ctx);
         for (std::size_t i = begin; i < end; ++i) {
-          obs::SpanScope span("fleet.evaluate_series");
+          obs::Span span("fleet.evaluate_series", root_span.context());
           span.set_arg("series", static_cast<double>(i));
           try {
             result.series[i] = evaluate_one(fleet[i], options, &inline_pool);

@@ -93,7 +93,7 @@ void append_csv_row(std::string& out, std::string_view kind, std::string_view na
 }  // namespace
 
 RunReport capture_run_report() {
-  return {Registry::global().snapshot(), TraceRegistry::global().snapshot()};
+  return {Registry::global().snapshot(), Timeline::aggregates()};
 }
 
 std::string to_json(const RunReport& report) {
@@ -158,8 +158,8 @@ std::string to_json(const RunReport& report) {
     out += "]}";
   }
   out += "\n  },\n  \"spans\": {";
-  for (std::size_t i = 0; i < report.trace.spans.size(); ++i) {
-    const auto& s = report.trace.spans[i];
+  for (std::size_t i = 0; i < report.spans.size(); ++i) {
+    const auto& s = report.spans[i];
     out += i == 0 ? "\n    " : ",\n    ";
     append_key(out, s.name);
     out += " {";
@@ -169,9 +169,9 @@ std::string to_json(const RunReport& report) {
     const std::pair<const char*, double> fields[] = {
         {"total_ms", s.stats.total_ns * 1e-6},
         {"self_ms", s.stats.self_ns * 1e-6},
-        {"mean_us", s.stats.duration_ns.mean() * 1e-3},
-        {"min_us", s.stats.calls ? s.stats.duration_ns.min() * 1e-3 : 0.0},
-        {"max_us", s.stats.calls ? s.stats.duration_ns.max() * 1e-3 : 0.0}};
+        {"mean_us", s.stats.mean_ns() * 1e-3},
+        {"min_us", s.stats.min_ns * 1e-3},
+        {"max_us", s.stats.max_ns * 1e-3}};
     for (const auto& [key, value] : fields) {
       out += ", ";
       append_key(out, key);
@@ -202,12 +202,12 @@ std::string to_csv(const RunReport& report) {
     append_csv_row(out, "histogram", h.name, "p90", number_text(h.stats.p90));
     append_csv_row(out, "histogram", h.name, "p99", number_text(h.stats.p99));
   }
-  for (const auto& s : report.trace.spans) {
+  for (const auto& s : report.spans) {
     append_csv_row(out, "span", s.name, "calls", number_text(s.stats.calls));
     append_csv_row(out, "span", s.name, "total_ms", number_text(s.stats.total_ns * 1e-6));
     append_csv_row(out, "span", s.name, "self_ms", number_text(s.stats.self_ns * 1e-6));
     append_csv_row(out, "span", s.name, "mean_us",
-                   number_text(s.stats.duration_ns.mean() * 1e-3));
+                   number_text(s.stats.mean_ns() * 1e-3));
   }
   return out;
 }
@@ -244,9 +244,9 @@ std::string format_report(const RunReport& report) {
            h.stats.p90, h.stats.p99);
     }
   }
-  if (!report.trace.spans.empty()) {
+  if (!report.spans.empty()) {
     // Spans sorted by total time descending: the profile view.
-    auto spans = report.trace.spans;
+    auto spans = report.spans;
     std::sort(spans.begin(), spans.end(), [](const auto& a, const auto& b) {
       return a.stats.total_ns > b.stats.total_ns;
     });
@@ -255,11 +255,11 @@ std::string format_report(const RunReport& report) {
     for (const auto& s : spans) {
       emit("  %-44s %10llu %11.2f %11.2f %9.2f\n", s.name.c_str(),
            static_cast<unsigned long long>(s.stats.calls), s.stats.total_ns * 1e-6,
-           s.stats.self_ns * 1e-6, s.stats.duration_ns.mean() * 1e-3);
+           s.stats.self_ns * 1e-6, s.stats.mean_ns() * 1e-3);
     }
   }
   if (report.metrics.counters.empty() && report.metrics.gauges.empty() &&
-      report.metrics.histograms.empty() && report.trace.spans.empty()) {
+      report.metrics.histograms.empty() && report.spans.empty()) {
     out += "(no metrics recorded — built with EVOFORECAST_OBS=OFF?)\n";
   }
   out += "==============================================================="
@@ -289,6 +289,11 @@ void write_csv_file(const std::string& path) {
 void print_report(std::FILE* out) {
   const std::string text = format_report(capture_run_report());
   std::fputs(text.c_str(), out);
+}
+
+void reset_all() {
+  Registry::global().reset_values();
+  Timeline::reset();
 }
 
 }  // namespace ef::obs

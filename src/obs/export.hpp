@@ -1,4 +1,4 @@
-// obs/export.hpp — turn the metrics + trace registries into artifacts.
+// obs/export.hpp — turn the metrics registry and span aggregates into artifacts.
 //
 // Three formats, one capture path:
 //   * JSON  — machine-readable, one object with counters/gauges/histograms/
@@ -9,24 +9,25 @@
 //
 // All entry points operate on an explicit RunReport so tests can round-trip
 // synthetic snapshots; the *_file/print helpers capture the global
-// registries first.
+// state first.
 #pragma once
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
+#include "obs/timeline.hpp"
 
 namespace ef::obs {
 
 /// One run's complete observability state.
 struct RunReport {
   MetricsSnapshot metrics;
-  TraceSnapshot trace;
+  std::vector<SpanAggregate> spans;  ///< sorted by name
 };
 
-/// Snapshot both global registries.
+/// Snapshot the metrics registry and the span aggregates.
 [[nodiscard]] RunReport capture_run_report();
 
 /// Serialise as a single JSON object (UTF-8, no trailing newline guarantees
@@ -40,12 +41,17 @@ struct RunReport {
 /// span timings sorted by total time.
 [[nodiscard]] std::string format_report(const RunReport& report);
 
-/// Capture the global registries and write JSON/CSV to `path`. Throws
+/// Capture the global state and write JSON/CSV to `path`. Throws
 /// std::runtime_error on I/O failure.
 void write_json_file(const std::string& path);
 void write_csv_file(const std::string& path);
 
-/// Capture the global registries and print format_report() to `out`.
+/// Capture the global state and print format_report() to `out`.
 void print_report(std::FILE* out = stdout);
+
+/// Zero the metrics registry and the timeline (span aggregates, rings, slow
+/// exemplars). Tests and long-lived servers use this between runs; cached
+/// instrument references stay valid.
+void reset_all();
 
 }  // namespace ef::obs

@@ -10,25 +10,18 @@
 //      pointer load plus one relaxed atomic op — no map lookup, no lock.
 //
 // Names must be string literals (static storage); see docs/OBSERVABILITY.md
-// for the catalogue of names used across the library.
+// for the catalogue of names used across the library. Spans are not a macro:
+// they are obs::Span (obs/timeline.hpp), whose OFF-mode stub is empty.
 #pragma once
 
 #include "obs/events.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 #ifndef EVOFORECAST_OBS_ENABLED
 #define EVOFORECAST_OBS_ENABLED 1
 #endif
 
-#define EF_OBS_CONCAT_INNER(a, b) a##b
-#define EF_OBS_CONCAT(a, b) EF_OBS_CONCAT_INNER(a, b)
-
 #if EVOFORECAST_OBS_ENABLED
-
-/// RAII span covering the rest of the enclosing scope.
-#define EVOFORECAST_TRACE(name) \
-  const ::ef::obs::ScopedTimer EF_OBS_CONCAT(ef_obs_span_, __LINE__) { name }
 
 /// counter(name) += delta.
 #define EVOFORECAST_COUNT(name, delta)                                              \
@@ -61,7 +54,6 @@
 
 #else  // EVOFORECAST_OBS_ENABLED == 0: instrumentation compiles out.
 
-#define EVOFORECAST_TRACE(name) ((void)0)
 #define EVOFORECAST_COUNT(name, delta) ((void)0)
 #define EVOFORECAST_GAUGE_SET(name, value) ((void)0)
 #define EVOFORECAST_HISTOGRAM(name, value) ((void)0)

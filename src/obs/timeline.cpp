@@ -2,19 +2,28 @@
 
 #if EVOFORECAST_OBS_ENABLED
 
+#include <algorithm>
 #include <atomic>
-#include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <deque>
+#include <map>
 #include <memory>
 #include <mutex>
-#include <string>
+#include <new>
+#include <string_view>
+#include <thread>
 
 namespace ef::obs {
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
 constexpr std::size_t kDefaultRingCapacity = 8192;
 constexpr std::size_t kSlowTraceCapacity = 128;
+/// Distinct span-name pointers per thread table (a power of two). Names past
+/// it share one overflow entry.
+constexpr std::size_t kAggregateSlots = 256;
 
 /// One ring slot. Every field is an atomic so the seqlock read side is
 /// data-race-free under TSan (fences are invisible to it); the writer is
@@ -33,15 +42,47 @@ struct Slot {
   std::atomic<bool> sampled{false};
 };
 
-/// Fixed-capacity span ring with exactly one writer (the owning thread).
-/// Readers (snapshot) come from any thread and tolerate concurrent writes
-/// via the per-slot seqlock.
+/// Fixed-capacity span ring. Allocated without throwing: it is created
+/// inside a noexcept span exit, and a failed slot allocation leaves an empty
+/// ring that records nothing.
 struct Ring {
-  Ring(std::size_t capacity, std::uint32_t index)
-      : slots(capacity), thread_index(index) {}
+  explicit Ring(std::size_t wanted)
+      : slots(new (std::nothrow) Slot[wanted]), capacity(slots ? wanted : 0) {}
 
-  std::vector<Slot> slots;  ///< fixed at construction; never resized
+  std::unique_ptr<Slot[]> slots;
+  std::size_t capacity;
   std::atomic<std::uint64_t> head{0};
+};
+
+/// One span name's running totals, seqlock-published like a ring slot.
+/// `name` is set once, by the owning thread, when the entry is claimed.
+struct Aggregate {
+  std::atomic<std::uint64_t> seq{0};
+  std::atomic<const char*> name{nullptr};
+  std::atomic<std::uint64_t> calls{0};
+  std::atomic<std::int64_t> total_ns{0};
+  std::atomic<std::int64_t> self_ns{0};
+  std::atomic<std::int64_t> min_ns{0};
+  std::atomic<std::int64_t> max_ns{0};
+};
+
+/// Everything one thread writes: its aggregate table and (from its first
+/// traced span on) its ring. Exactly one thread owns a state at a time; at
+/// thread exit it goes to the free pool and the next new thread adopts it,
+/// so the states stay snapshot-able and their count is bounded by the peak
+/// number of live threads. States are never freed.
+struct ThreadState {
+  explicit ThreadState(std::uint32_t index, std::uint64_t reset_epoch)
+      : epoch(reset_epoch), thread_index(index) {}
+
+  /// Timeline::reset() generation these aggregates belong to. A stale table
+  /// is skipped by readers and cleared by its owner on its next span exit,
+  /// so the owner stays the only writer.
+  std::atomic<std::uint64_t> epoch;
+  Aggregate aggregates[kAggregateSlots];
+  Aggregate overflow;
+  std::atomic<Ring*> ring{nullptr};
+  std::unique_ptr<Ring> ring_storage;
   std::uint32_t thread_index;
 };
 
@@ -60,7 +101,7 @@ std::size_t env_size(const char* name, std::size_t fallback) {
   char* end = nullptr;
   const unsigned long long value = std::strtoull(text, &end, 10);
   if (end == text || value == 0) return fallback;
-  return static_cast<std::size_t>(value);
+  return static_cast<std::size_t>(std::min<unsigned long long>(value, kMaxRingCapacity));
 }
 
 struct State {
@@ -70,11 +111,14 @@ struct State {
   std::atomic<std::uint64_t> sample_threshold{0};
   std::atomic<std::uint64_t> next_id{1};
   std::atomic<std::size_t> ring_capacity{kDefaultRingCapacity};
+  std::atomic<std::uint64_t> reset_epoch{0};
+  /// Origin of the timeline clock. Precedes every traced span's start: a
+  /// traced span draws its id from this State before reading the clock.
+  const Clock::time_point epoch = Clock::now();
 
-  std::mutex mutex;  ///< guards rings / free_rings / slow / rate (cold paths)
-  std::vector<std::shared_ptr<Ring>> rings;
-  std::vector<std::shared_ptr<Ring>> free_rings;  ///< rings of exited threads
-  std::uint32_t next_thread_index = 0;
+  std::mutex mutex;  ///< guards threads / free_threads / slow / rate (cold paths)
+  std::vector<std::unique_ptr<ThreadState>> threads;
+  std::vector<ThreadState*> free_threads;  ///< states of exited threads
   std::deque<TimelineSnapshot::SlowTrace> slow;
   double rate = 0.0;
 
@@ -85,7 +129,7 @@ struct State {
   }
 
   void set_rate(double r) {
-    if (r < 0.0) r = 0.0;
+    if (!std::isfinite(r) || r < 0.0) r = 0.0;
     if (r > 1.0) r = 1.0;
     const std::lock_guard<std::mutex> lock(mutex);
     rate = r;
@@ -94,46 +138,128 @@ struct State {
         std::memory_order_relaxed);
     enabled.store(r > 0.0, std::memory_order_relaxed);
   }
+
+  /// Copies of the state pointers; their contents are read unlocked.
+  std::vector<ThreadState*> all_threads() {
+    const std::lock_guard<std::mutex> lock(mutex);
+    std::vector<ThreadState*> out;
+    out.reserve(threads.size());
+    for (const auto& t : threads) out.push_back(t.get());
+    return out;
+  }
 };
 
 State& state() {
-  static State* instance = new State();  // leaked: emitters may outlive main
+  static State* instance = new State();  // leaked: spans may close after main
   return *instance;
 }
 
 thread_local TraceContext t_context;
+thread_local Span* t_current = nullptr;  ///< innermost open span on this thread
+thread_local ThreadState* t_state = nullptr;
+thread_local bool t_state_returned = false;
 
-/// Thread-owned ring handle: acquired lazily on first emit, returned to the
-/// free pool at thread exit so short-lived connection threads recycle rings
-/// instead of growing the registry without bound. The registry's shared_ptr
-/// keeps a parked ring's spans snapshot-able after its thread is gone.
-struct RingHandle {
-  std::shared_ptr<Ring> ring;
-
-  ~RingHandle() {
-    if (!ring) return;
+/// Hands the thread's state back to the free pool at thread exit.
+struct StateReturn {
+  ~StateReturn() {
     State& s = state();
     const std::lock_guard<std::mutex> lock(s.mutex);
-    s.free_rings.push_back(std::move(ring));
+    s.free_threads.push_back(t_state);
+    t_state = nullptr;
+    t_state_returned = true;  // spans closed later in thread teardown are dropped
   }
 };
 
-thread_local RingHandle t_ring;
-
-Ring& local_ring() {
-  if (!t_ring.ring) {
-    State& s = state();
+/// This thread's state, adopted from the free pool or created on first use;
+/// nullptr once the thread has returned it, or when memory ran out (span
+/// exits are noexcept, so the span is dropped instead).
+ThreadState* local_state() {
+  if (t_state != nullptr) return t_state;
+  if (t_state_returned) return nullptr;
+  State& s = state();
+  try {
     const std::lock_guard<std::mutex> lock(s.mutex);
-    if (!s.free_rings.empty()) {
-      t_ring.ring = std::move(s.free_rings.back());
-      s.free_rings.pop_back();
+    if (!s.free_threads.empty()) {
+      t_state = s.free_threads.back();
+      s.free_threads.pop_back();
     } else {
-      t_ring.ring = std::make_shared<Ring>(
-          s.ring_capacity.load(std::memory_order_relaxed), s.next_thread_index++);
-      s.rings.push_back(t_ring.ring);
+      s.threads.push_back(std::make_unique<ThreadState>(
+          static_cast<std::uint32_t>(s.threads.size()),
+          s.reset_epoch.load(std::memory_order_relaxed)));
+      // Room for every state in the free pool: StateReturn never allocates.
+      s.free_threads.reserve(s.threads.size());
+      t_state = s.threads.back().get();
+    }
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+  static thread_local StateReturn returner;
+  (void)returner;
+  return t_state;
+}
+
+void seq_begin(std::atomic<std::uint64_t>& seq, std::uint64_t value) {
+  seq.store(value + 1, std::memory_order_relaxed);  // odd: mid-write
+  std::atomic_thread_fence(std::memory_order_release);
+}
+
+void seq_end(std::atomic<std::uint64_t>& seq, std::uint64_t value) {
+  seq.store(value + 2, std::memory_order_release);  // even: published
+}
+
+/// The table entry for `name`: open addressing on the name pointer. The
+/// same literal text at two addresses gets two entries; readers merge by
+/// text.
+Aggregate& aggregate_for(ThreadState& st, const char* name) {
+  const auto key = reinterpret_cast<std::uintptr_t>(name);
+  std::size_t index = static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ull) >> 56);
+  for (std::size_t probe = 0; probe < kAggregateSlots; ++probe) {
+    Aggregate& entry = st.aggregates[(index + probe) % kAggregateSlots];
+    const char* owner = entry.name.load(std::memory_order_relaxed);
+    if (owner == name) return entry;
+    if (owner == nullptr) {
+      entry.name.store(name, std::memory_order_release);
+      return entry;
     }
   }
-  return *t_ring.ring;
+  st.overflow.name.store("obs.span.overflow", std::memory_order_relaxed);
+  return st.overflow;
+}
+
+void clear(Aggregate& entry) {
+  const std::uint64_t seq = entry.seq.load(std::memory_order_relaxed);
+  seq_begin(entry.seq, seq);
+  entry.calls.store(0, std::memory_order_relaxed);
+  entry.total_ns.store(0, std::memory_order_relaxed);
+  entry.self_ns.store(0, std::memory_order_relaxed);
+  entry.min_ns.store(0, std::memory_order_relaxed);
+  entry.max_ns.store(0, std::memory_order_relaxed);
+  seq_end(entry.seq, seq);
+}
+
+/// Aggregate sink: owner-only read-modify-write, so plain loads and stores.
+void add_aggregate(ThreadState& st, const char* name, std::int64_t total_ns,
+                   std::int64_t self_ns) {
+  const std::uint64_t epoch = state().reset_epoch.load(std::memory_order_relaxed);
+  if (st.epoch.load(std::memory_order_relaxed) != epoch) {
+    for (Aggregate& entry : st.aggregates) clear(entry);
+    clear(st.overflow);
+    st.epoch.store(epoch, std::memory_order_release);
+  }
+  Aggregate& entry = aggregate_for(st, name);
+  const std::uint64_t seq = entry.seq.load(std::memory_order_relaxed);
+  const std::uint64_t calls = entry.calls.load(std::memory_order_relaxed);
+  const std::int64_t min_ns = entry.min_ns.load(std::memory_order_relaxed);
+  const std::int64_t max_ns = entry.max_ns.load(std::memory_order_relaxed);
+  seq_begin(entry.seq, seq);
+  entry.calls.store(calls + 1, std::memory_order_relaxed);
+  entry.total_ns.store(entry.total_ns.load(std::memory_order_relaxed) + total_ns,
+                       std::memory_order_relaxed);
+  entry.self_ns.store(entry.self_ns.load(std::memory_order_relaxed) + self_ns,
+                      std::memory_order_relaxed);
+  if (calls == 0 || total_ns < min_ns) entry.min_ns.store(total_ns, std::memory_order_relaxed);
+  if (calls == 0 || total_ns > max_ns) entry.max_ns.store(total_ns, std::memory_order_relaxed);
+  seq_end(entry.seq, seq);
 }
 
 std::uint64_t next_id() {
@@ -158,17 +284,30 @@ bool draw_sampled() {
   return sample_draw() < threshold;
 }
 
-void record(const TraceContext& ctx, std::uint64_t span_id, std::uint64_t parent_id,
+/// µs on the timeline clock.
+std::int64_t timeline_us(Clock::time_point t) {
+  return std::chrono::duration_cast<std::chrono::microseconds>(t - state().epoch).count();
+}
+
+/// Ring sink: the owner's ring, allocated at its first traced span.
+void record(ThreadState& st, const TraceContext& ctx, std::uint64_t parent_id,
             const char* name, std::int64_t t_start_us, std::int64_t dur_us,
             const char* arg_key, double arg_value) {
-  Ring& ring = local_ring();
+  Ring* ring = st.ring.load(std::memory_order_relaxed);
+  if (ring == nullptr) {
+    ring = new (std::nothrow) Ring(state().ring_capacity.load(std::memory_order_relaxed));
+    if (ring == nullptr) return;
+    st.ring_storage.reset(ring);
+    st.ring.store(ring, std::memory_order_release);
+  }
+  if (ring->capacity == 0) return;
   const std::uint64_t index =
-      ring.head.fetch_add(1, std::memory_order_relaxed) % ring.slots.size();
-  Slot& slot = ring.slots[index];
+      ring->head.fetch_add(1, std::memory_order_relaxed) % ring->capacity;
+  Slot& slot = ring->slots[index];
   const std::uint64_t seq = slot.seq.load(std::memory_order_relaxed);
-  slot.seq.store(seq + 1, std::memory_order_release);  // odd: mid-write
+  seq_begin(slot.seq, seq);
   slot.trace_id.store(ctx.trace_id, std::memory_order_relaxed);
-  slot.span_id.store(span_id, std::memory_order_relaxed);
+  slot.span_id.store(ctx.span_id, std::memory_order_relaxed);
   slot.parent_id.store(parent_id, std::memory_order_relaxed);
   slot.name.store(name, std::memory_order_relaxed);
   slot.t_start_us.store(t_start_us, std::memory_order_relaxed);
@@ -176,7 +315,7 @@ void record(const TraceContext& ctx, std::uint64_t span_id, std::uint64_t parent
   slot.arg_key.store(arg_key, std::memory_order_relaxed);
   slot.arg_value.store(arg_value, std::memory_order_relaxed);
   slot.sampled.store(ctx.sampled, std::memory_order_relaxed);
-  slot.seq.store(seq + 2, std::memory_order_release);  // even: published
+  seq_end(slot.seq, seq);
 }
 
 }  // namespace
@@ -194,8 +333,8 @@ double Timeline::sample_rate() {
 }
 
 void Timeline::set_ring_capacity(std::size_t spans) {
-  if (spans == 0) spans = 1;
-  state().ring_capacity.store(spans, std::memory_order_relaxed);
+  state().ring_capacity.store(std::clamp<std::size_t>(spans, 1, kMaxRingCapacity),
+                              std::memory_order_relaxed);
 }
 
 std::size_t Timeline::ring_capacity() {
@@ -212,16 +351,16 @@ void Timeline::mark_slow(std::uint64_t trace_id, double us) {
 
 TimelineSnapshot Timeline::snapshot() {
   State& s = state();
-  std::vector<std::shared_ptr<Ring>> rings;
   TimelineSnapshot snap;
   {
     const std::lock_guard<std::mutex> lock(s.mutex);
-    rings = s.rings;  // copy the shared_ptrs; slot reads happen unlocked
     snap.slow.assign(s.slow.begin(), s.slow.end());
   }
-  for (const std::shared_ptr<Ring>& ring : rings) {
+  for (const ThreadState* st : s.all_threads()) {
+    const Ring* ring = st->ring.load(std::memory_order_acquire);
+    if (ring == nullptr) continue;
     const std::uint64_t head = ring->head.load(std::memory_order_acquire);
-    const std::size_t capacity = ring->slots.size();
+    const std::size_t capacity = ring->capacity;
     const std::uint64_t count = head < capacity ? head : capacity;
     for (std::uint64_t i = 0; i < count; ++i) {
       const Slot& slot = ring->slots[i % capacity];
@@ -238,7 +377,7 @@ TimelineSnapshot Timeline::snapshot() {
       span.arg_key = slot.arg_key.load(std::memory_order_relaxed);
       span.arg_value = slot.arg_value.load(std::memory_order_relaxed);
       span.sampled = slot.sampled.load(std::memory_order_relaxed);
-      span.thread_index = ring->thread_index;
+      span.thread_index = st->thread_index;
       std::atomic_thread_fence(std::memory_order_acquire);
       if (slot.seq.load(std::memory_order_relaxed) != seq_before) continue;
       if (span.trace_id == 0 || span.span_id == 0) continue;  // never written
@@ -248,101 +387,108 @@ TimelineSnapshot Timeline::snapshot() {
   return snap;
 }
 
+std::vector<SpanAggregate> Timeline::aggregates() {
+  State& s = state();
+  const std::uint64_t epoch = s.reset_epoch.load(std::memory_order_acquire);
+  std::map<std::string_view, SpanStats> merged;
+  for (const ThreadState* st : s.all_threads()) {
+    if (st->epoch.load(std::memory_order_acquire) != epoch) continue;  // reset since
+    const auto read = [&merged](const Aggregate& entry) {
+      const char* name = entry.name.load(std::memory_order_acquire);
+      if (name == nullptr) return;
+      std::uint64_t calls = 0;
+      std::int64_t total = 0, self = 0, min = 0, max = 0;
+      for (;;) {  // a writer holds an entry for a handful of stores
+        const std::uint64_t seq = entry.seq.load(std::memory_order_acquire);
+        calls = entry.calls.load(std::memory_order_relaxed);
+        total = entry.total_ns.load(std::memory_order_relaxed);
+        self = entry.self_ns.load(std::memory_order_relaxed);
+        min = entry.min_ns.load(std::memory_order_relaxed);
+        max = entry.max_ns.load(std::memory_order_relaxed);
+        std::atomic_thread_fence(std::memory_order_acquire);
+        if ((seq & 1) == 0 && entry.seq.load(std::memory_order_relaxed) == seq) break;
+        std::this_thread::yield();  // the writer may be descheduled mid-entry
+      }
+      if (calls == 0) return;
+      SpanStats& out = merged[name];
+      out.min_ns = out.calls == 0 ? static_cast<double>(min)
+                                  : std::min(out.min_ns, static_cast<double>(min));
+      out.max_ns = std::max(out.max_ns, static_cast<double>(max));
+      out.calls += calls;
+      out.total_ns += static_cast<double>(total);
+      out.self_ns += static_cast<double>(self);
+    };
+    for (const Aggregate& entry : st->aggregates) read(entry);
+    read(st->overflow);
+  }
+  std::vector<SpanAggregate> out;
+  out.reserve(merged.size());
+  for (const auto& [name, stats] : merged) out.push_back({std::string(name), stats});
+  return out;
+}
+
 void Timeline::reset() {
   State& s = state();
-  std::vector<std::shared_ptr<Ring>> rings;
   {
     const std::lock_guard<std::mutex> lock(s.mutex);
-    rings = s.rings;
     s.slow.clear();
   }
-  for (const std::shared_ptr<Ring>& ring : rings) {
-    for (Slot& slot : ring->slots) {
+  s.reset_epoch.fetch_add(1, std::memory_order_acq_rel);
+  for (ThreadState* st : s.all_threads()) {
+    Ring* ring = st->ring.load(std::memory_order_acquire);
+    if (ring == nullptr) continue;
+    for (std::size_t i = 0; i < ring->capacity; ++i) {
+      Slot& slot = ring->slots[i];
       const std::uint64_t seq = slot.seq.load(std::memory_order_relaxed);
-      slot.seq.store(seq + 1, std::memory_order_release);
+      seq_begin(slot.seq, seq);
       slot.trace_id.store(0, std::memory_order_relaxed);
       slot.span_id.store(0, std::memory_order_relaxed);
-      slot.seq.store(seq + 2, std::memory_order_release);
+      seq_end(slot.seq, seq);
     }
     ring->head.store(0, std::memory_order_release);
   }
 }
 
-std::int64_t Timeline::now_us() noexcept {
-  using clock = std::chrono::steady_clock;
-  static const clock::time_point epoch = clock::now();
-  return std::chrono::duration_cast<std::chrono::microseconds>(clock::now() - epoch)
-      .count();
-}
-
-std::uint64_t Timeline::emit(const TraceContext& ctx, const char* name,
-                             std::int64_t t_start_us, std::int64_t t_end_us,
-                             std::uint64_t parent_id, const char* arg_key,
-                             double arg_value) {
-  if (!ctx.active()) return 0;
-  const std::uint64_t span_id = next_id();
-  if (parent_id == 0) parent_id = ctx.span_id;
-  const std::int64_t dur = t_end_us > t_start_us ? t_end_us - t_start_us : 0;
-  record(ctx, span_id, parent_id, name, t_start_us, dur, arg_key, arg_value);
-  return span_id;
-}
-
 TraceContext current_context() noexcept { return t_context; }
 
-TraceScope::TraceScope(const char* name) noexcept : prev_(t_context), name_(name) {
-  if (prev_.active()) {
-    // Nested trace: behave as a child span of the enclosing trace.
-    span_id_ = next_id();
-    t_start_us_ = Timeline::now_us();
-    t_context.span_id = span_id_;
-    return;
+Span::Span(const char* name) noexcept : name_(name) { open(t_context, false); }
+
+Span::Span(const char* name, RootTag) noexcept : name_(name) { open(t_context, true); }
+
+Span::Span(const char* name, const TraceContext& parent) noexcept : name_(name) {
+  open(parent, false);
+}
+
+void Span::open(const TraceContext& parent, bool root) noexcept {
+  restore_ = t_context;
+  enclosing_ = t_current;
+  t_current = this;
+  if (parent.active()) {
+    context_ = {parent.trace_id, next_id(), parent.sampled};
+    parent_id_ = parent.span_id;
+  } else if (root && Timeline::enabled()) {
+    context_ = {next_id(), next_id(), draw_sampled()};
   }
-  if (!Timeline::enabled()) return;  // the whole cost when tracing is off
-  span_id_ = next_id();
-  t_start_us_ = Timeline::now_us();
-  t_context.trace_id = next_id();
-  t_context.span_id = span_id_;
-  t_context.sampled = draw_sampled();
+  t_context = context_;
+  start_ = Clock::now();
 }
 
-TraceScope::~TraceScope() {
-  if (span_id_ == 0) return;
-  const TraceContext ctx{t_context.trace_id, prev_.span_id, t_context.sampled};
-  record(ctx, span_id_, prev_.span_id, name_, t_start_us_,
-         Timeline::now_us() - t_start_us_, nullptr, 0.0);
-  t_context = prev_;
+Span::~Span() {
+  const Clock::time_point end = Clock::now();
+  const std::int64_t total_ns =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(end - start_).count();
+  t_current = enclosing_;
+  if (enclosing_ != nullptr) enclosing_->child_ns_ += total_ns;
+  t_context = restore_;
+  ThreadState* st = local_state();
+  if (st == nullptr) return;
+  add_aggregate(*st, name_, total_ns, total_ns - child_ns_);
+  if (context_.active()) {
+    const std::int64_t start_us = timeline_us(start_);
+    record(*st, context_, parent_id_, name_, start_us, timeline_us(end) - start_us, arg_key_,
+           arg_value_);
+  }
 }
-
-TraceContext TraceScope::context() const noexcept {
-  if (span_id_ == 0) return {};
-  return TraceContext{t_context.trace_id, span_id_, t_context.sampled};
-}
-
-std::uint64_t TraceScope::trace_id() const noexcept {
-  return span_id_ == 0 ? 0 : t_context.trace_id;
-}
-
-SpanScope::SpanScope(const char* name) noexcept : name_(name) {
-  if (!t_context.active()) return;
-  span_id_ = next_id();
-  parent_id_ = t_context.span_id;
-  t_start_us_ = Timeline::now_us();
-  t_context.span_id = span_id_;
-}
-
-SpanScope::~SpanScope() {
-  if (span_id_ == 0) return;
-  const TraceContext ctx{t_context.trace_id, parent_id_, t_context.sampled};
-  record(ctx, span_id_, parent_id_, name_, t_start_us_,
-         Timeline::now_us() - t_start_us_, arg_key_, arg_value_);
-  t_context.span_id = parent_id_;
-}
-
-ContextGuard::ContextGuard(const TraceContext& ctx) noexcept : prev_(t_context) {
-  t_context = ctx;
-}
-
-ContextGuard::~ContextGuard() { t_context = prev_; }
 
 }  // namespace ef::obs
 

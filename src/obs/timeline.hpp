@@ -1,43 +1,56 @@
-// obs/timeline.hpp — request-scoped timeline tracing.
+// obs/timeline.hpp — spans: one RAII type, two sinks.
 //
-// The TraceRegistry (obs/trace.hpp) aggregates spans *per name*: it can say
-// that serve.request_us p99 spiked, but not whether one concrete slow
-// request burned its budget in model lookup, the cache, the match kernel,
-// or the response path. The timeline layer keeps the individual spans:
-// every traced request gets a trace id, every span records
-// {trace_id, span_id, parent_id, name, t_start, dur, arg}, and the whole
-// tree survives a thread hop because the TraceContext can travel with the
-// work. Spans land in per-thread lock-free rings (seqlock
-// slots, single writer per ring) and are exported on demand as Chrome
-// trace-event JSON (obs/timeline_export.hpp) loadable in Perfetto or
-// chrome://tracing.
+// An obs::Span measures one dynamic extent: a match scan, a regression fit,
+// one training execution, one served request. It reads the steady clock
+// once on entry and once on exit, and its exit feeds two sinks:
 //
-// Cost model and sampling:
-//   * Armed or not is one relaxed atomic load. With EVOFORECAST_TRACE_SAMPLE
-//     unset/0 (the default), TraceScope construction checks that flag and
-//     does NOTHING else — no clock read, no ring write, no id allocation.
+//   * Aggregate sink (always on). Calls, total, self and min/max duration
+//     per span name, in a table owned by the closing thread. Spans nest
+//     through a thread-local stack, so self time is total minus the time
+//     spent in child spans on the same thread — the number that says where
+//     a run's wall clock went. Timeline::aggregates() merges every thread's
+//     table by name; a thread's table returns to a free pool at thread exit,
+//     so exited threads' totals survive. An exit takes no process-wide lock:
+//     each table has a single writer and publishes through per-entry
+//     seqlocks.
+//   * Ring sink (only inside a trace). When a trace context is active on
+//     the thread, the span also records {trace_id, span_id, parent_id, name,
+//     t_start, dur, arg} into the thread's lock-free ring (seqlock slots,
+//     single writer), exported on demand as Chrome trace-event JSON
+//     (obs/timeline_export.hpp) loadable in Perfetto or chrome://tracing.
+//     The tree survives a thread hop: hand current_context() to the worker
+//     and open the worker's span with it as parent.
+//
+// Traces and sampling:
+//   * A root span — Span(name, kRoot) — opens a new trace when tracing is
+//     armed and none is active on the thread; inside an active trace it is
+//     an ordinary child, so nested subsystems (serve → train) compose.
+//     Armed or not is one relaxed atomic load.
 //   * When armed (sample rate > 0), every span of every active trace is
-//     recorded into the rings — a clock read plus ~10 relaxed stores into
-//     the calling thread's own ring slot. The sample rate is a *head
-//     sample over export*: each new trace draws once against the rate and
-//     carries the verdict in its `sampled` flag; the exporter emits sampled
-//     traces only.
+//     recorded into the rings. The sample rate is a *head sample over
+//     export*: each new trace draws once against the rate and carries the
+//     verdict in its `sampled` flag; the exporter emits sampled traces only.
 //   * Slow-request exemplars ride on that tail-capture: a request that
 //     blows the slow threshold calls Timeline::mark_slow(trace_id), and the
 //     exporter keeps that trace's full span tree even when the draw said
-//     "not sampled" — a histogram outlier always points at a concrete
-//     timeline as long as its spans are still in the rings.
+//     "not sampled", as long as its spans are still in the rings.
 //
 // Environment:
-//   EVOFORECAST_TRACE_SAMPLE    fraction of traces exported (0..1; 0 = off)
-//   EVOFORECAST_TRACE_CAPACITY  spans per thread ring (default 8192)
+//   EVOFORECAST_TRACE_SAMPLE    fraction of traces exported (0..1; 0 = off,
+//                               non-finite = off)
+//   EVOFORECAST_TRACE_CAPACITY  spans per thread ring (default 8192, at most
+//                               kMaxRingCapacity)
 //
-// Under -DEVOFORECAST_OBS=OFF every class here becomes an empty inline stub
-// (zero instructions at call sites) and snapshots come back empty; callers
-// need no #ifdefs.
+// Span names and arg keys must be string literals: both sinks store the
+// pointers, not copies. Under -DEVOFORECAST_OBS=OFF every class here becomes
+// an empty inline stub (zero instructions at call sites) and snapshots come
+// back empty; callers need no #ifdefs.
 #pragma once
 
+#include <chrono>
+#include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #ifndef EVOFORECAST_OBS_ENABLED
@@ -46,8 +59,11 @@
 
 namespace ef::obs {
 
-/// One finished span, as read back out of a ring. `name`/`arg_key` must be
-/// string literals (the rings store the pointers, not copies).
+/// Largest ring a thread may allocate (spans; ~80 bytes each). Larger
+/// requested capacities are clamped to it.
+inline constexpr std::size_t kMaxRingCapacity = std::size_t{1} << 18;
+
+/// One finished span, as read back out of a ring.
 struct TimelineSpan {
   std::uint64_t trace_id = 0;
   std::uint64_t span_id = 0;
@@ -57,7 +73,7 @@ struct TimelineSpan {
   std::int64_t dur_us = 0;
   const char* arg_key = nullptr;  ///< optional single numeric argument
   double arg_value = 0.0;
-  std::uint32_t thread_index = 0;  ///< stable per-ring id (Perfetto "tid")
+  std::uint32_t thread_index = 0;  ///< stable per-thread id (Perfetto "tid")
   bool sampled = false;            ///< trace drew into the head sample
 };
 
@@ -71,10 +87,25 @@ struct TimelineSnapshot {
   std::vector<SlowTrace> slow;      ///< newest-last, bounded
 };
 
-/// The id triple a request carries across threads. Copy it out of the
-/// owning thread with current_context(), hand it to the worker, and adopt
-/// it there with ContextGuard — spans opened under the guard join the same
-/// trace with the right parent.
+/// Aggregate of every closed span of one name.
+struct SpanStats {
+  std::uint64_t calls = 0;
+  double total_ns = 0.0;  ///< sum of span durations
+  double self_ns = 0.0;   ///< total minus time inside child spans
+  double min_ns = 0.0;    ///< shortest call (0 when calls == 0)
+  double max_ns = 0.0;    ///< longest call
+  [[nodiscard]] double mean_ns() const noexcept {
+    return calls == 0 ? 0.0 : total_ns / static_cast<double>(calls);
+  }
+};
+
+struct SpanAggregate {
+  std::string name;
+  SpanStats stats;
+};
+
+/// The id triple a span carries. Copy it out of the owning thread with
+/// current_context() and open the worker's span with it as parent.
 struct TraceContext {
   std::uint64_t trace_id = 0;
   std::uint64_t span_id = 0;  ///< parent for spans opened under this context
@@ -82,23 +113,31 @@ struct TraceContext {
   [[nodiscard]] bool active() const noexcept { return trace_id != 0; }
 };
 
+/// Tag selecting the root-span constructor: Span(name, kRoot).
+struct RootTag {
+  explicit RootTag() = default;
+};
+inline constexpr RootTag kRoot{};
+
 #if EVOFORECAST_OBS_ENABLED
 
-/// Process-wide timeline state: the arming flag, the per-thread rings, the
-/// slow-exemplar list. All static — there is one timeline per process, like
-/// the metrics registry.
+/// Process-wide span state: the arming flag, the per-thread aggregate tables
+/// and rings, the slow-exemplar list. All static — there is one timeline per
+/// process, like the metrics registry.
 class Timeline {
  public:
-  /// One relaxed atomic load; the entire hot-path cost when tracing is off.
+  /// One relaxed atomic load: is tracing armed?
   [[nodiscard]] static bool enabled() noexcept;
 
-  /// rate <= 0 disarms tracing entirely; rate in (0,1] arms recording and
-  /// head-samples that fraction of traces into the export set.
+  /// rate <= 0 or non-finite disarms tracing; rate in (0,1] arms recording
+  /// and head-samples that fraction of traces into the export set; larger
+  /// finite rates mean 1.
   static void set_sample_rate(double rate);
   [[nodiscard]] static double sample_rate();
 
-  /// Spans per thread ring. Applies to rings created after the call (tests
-  /// set this before spawning their emitting thread).
+  /// Spans per thread ring, clamped to [1, kMaxRingCapacity]. Applies to
+  /// rings allocated after the call (a thread allocates its ring at its
+  /// first traced span).
   static void set_ring_capacity(std::size_t spans);
   [[nodiscard]] static std::size_t ring_capacity();
 
@@ -111,88 +150,60 @@ class Timeline {
   /// overtaken by the writer are skipped) plus the slow list.
   [[nodiscard]] static TimelineSnapshot snapshot();
 
-  /// Drop all recorded spans and slow exemplars. Test/bench helper: callers
-  /// must quiesce emitting threads first, or concurrent emits may be lost
-  /// (never UB — the slots are atomics).
+  /// Every thread's aggregate table, live and exited, merged by span name
+  /// and sorted by name.
+  [[nodiscard]] static std::vector<SpanAggregate> aggregates();
+
+  /// Drop all ring spans, slow exemplars and aggregates. Test/bench helper:
+  /// callers should quiesce spanning threads first, or concurrent spans may
+  /// be lost or half-counted (never UB — every shared field is atomic).
   static void reset();
-
-  /// µs on the timeline clock (steady, process-epoch relative).
-  [[nodiscard]] static std::int64_t now_us() noexcept;
-
-  /// Record one completed span under `ctx` with explicit timestamps — the
-  /// retrospective form for work whose start is only known after the fact.
-  /// parent_id 0 means "under ctx.span_id". Returns the new span id (0 when ctx is inactive).
-  static std::uint64_t emit(const TraceContext& ctx, const char* name,
-                            std::int64_t t_start_us, std::int64_t t_end_us,
-                            std::uint64_t parent_id = 0, const char* arg_key = nullptr,
-                            double arg_value = 0.0);
 };
 
-/// This thread's live context (inactive when no trace is open here).
+/// This thread's live trace context (inactive when no trace is open here).
 [[nodiscard]] TraceContext current_context() noexcept;
 
-/// RAII root: opens a new trace on this thread (drawing against the sample
-/// rate), or — when a trace is already active here — a child span within
-/// it, so nested subsystems (serve → train) compose instead of fighting
-/// over the root. Does nothing when tracing is off and no trace is active.
-class TraceScope {
+/// RAII span. Always feeds the aggregate sink; feeds the ring sink when it
+/// belongs to a trace.
+class Span {
  public:
-  explicit TraceScope(const char* name) noexcept;
-  ~TraceScope();
+  /// Child of this thread's current context (no trace when none is active).
+  explicit Span(const char* name) noexcept;
+  /// Root: opens a new trace when tracing is armed and none is active here;
+  /// otherwise the same as Span(name).
+  Span(const char* name, RootTag) noexcept;
+  /// Child of `parent`, a context handed over from another thread (pool
+  /// workers). Spans opened under this one on this thread join the same
+  /// trace; the thread's own context is restored on exit.
+  Span(const char* name, const TraceContext& parent) noexcept;
+  ~Span();
 
-  TraceScope(const TraceScope&) = delete;
-  TraceScope& operator=(const TraceScope&) = delete;
-
-  /// Context to hand across threads: children attach under this span.
-  [[nodiscard]] TraceContext context() const noexcept;
-  [[nodiscard]] std::uint64_t trace_id() const noexcept;
-  [[nodiscard]] bool active() const noexcept { return span_id_ != 0; }
-
- private:
-  TraceContext prev_;
-  const char* name_;
-  std::int64_t t_start_us_ = 0;
-  std::uint64_t span_id_ = 0;  ///< 0 = scope is inactive
-};
-
-/// RAII child span under this thread's current context; inactive (and
-/// free) when no trace is open here.
-class SpanScope {
- public:
-  explicit SpanScope(const char* name) noexcept;
-  ~SpanScope();
-
-  SpanScope(const SpanScope&) = delete;
-  SpanScope& operator=(const SpanScope&) = delete;
+  Span(const Span&) = delete;
+  Span& operator=(const Span&) = delete;
 
   /// Attach one numeric argument (literal key) shown in Perfetto.
   void set_arg(const char* key, double value) noexcept {
     arg_key_ = key;
     arg_value_ = value;
   }
-  [[nodiscard]] bool active() const noexcept { return span_id_ != 0; }
+  /// Context to hand across threads: children attach under this span.
+  [[nodiscard]] TraceContext context() const noexcept { return context_; }
+  [[nodiscard]] std::uint64_t trace_id() const noexcept { return context_.trace_id; }
+  /// Whether this span belongs to a trace (and so lands in the ring).
+  [[nodiscard]] bool traced() const noexcept { return context_.active(); }
 
  private:
+  void open(const TraceContext& parent, bool root) noexcept;
+
   const char* name_;
   const char* arg_key_ = nullptr;
   double arg_value_ = 0.0;
-  std::int64_t t_start_us_ = 0;
-  std::uint64_t span_id_ = 0;
+  std::int64_t child_ns_ = 0;  ///< filled in by exiting children on this thread
+  Span* enclosing_ = nullptr;  ///< enclosing span on this thread
+  TraceContext restore_;       ///< thread context to put back on exit
+  TraceContext context_;       ///< this span's own context; inactive = not traced
   std::uint64_t parent_id_ = 0;
-};
-
-/// RAII adoption of a foreign context on this thread (pool workers).
-/// Restores the previous context on destruction.
-class ContextGuard {
- public:
-  explicit ContextGuard(const TraceContext& ctx) noexcept;
-  ~ContextGuard();
-
-  ContextGuard(const ContextGuard&) = delete;
-  ContextGuard& operator=(const ContextGuard&) = delete;
-
- private:
-  TraceContext prev_;
+  std::chrono::steady_clock::time_point start_;
 };
 
 #else  // EVOFORECAST_OBS_ENABLED == 0: every entry point is an inline no-op.
@@ -206,40 +217,23 @@ class Timeline {
   [[nodiscard]] static std::size_t ring_capacity() { return 0; }
   static void mark_slow(std::uint64_t, double) {}
   [[nodiscard]] static TimelineSnapshot snapshot() { return {}; }
+  [[nodiscard]] static std::vector<SpanAggregate> aggregates() { return {}; }
   static void reset() {}
-  [[nodiscard]] static std::int64_t now_us() noexcept { return 0; }
-  static std::uint64_t emit(const TraceContext&, const char*, std::int64_t, std::int64_t,
-                            std::uint64_t = 0, const char* = nullptr, double = 0.0) {
-    return 0;
-  }
 };
 
 [[nodiscard]] inline TraceContext current_context() noexcept { return {}; }
 
-class TraceScope {
+class Span {
  public:
-  explicit TraceScope(const char*) noexcept {}
-  TraceScope(const TraceScope&) = delete;
-  TraceScope& operator=(const TraceScope&) = delete;
+  explicit Span(const char*) noexcept {}
+  Span(const char*, RootTag) noexcept {}
+  Span(const char*, const TraceContext&) noexcept {}
+  Span(const Span&) = delete;
+  Span& operator=(const Span&) = delete;
+  void set_arg(const char*, double) noexcept {}
   [[nodiscard]] TraceContext context() const noexcept { return {}; }
   [[nodiscard]] std::uint64_t trace_id() const noexcept { return 0; }
-  [[nodiscard]] bool active() const noexcept { return false; }
-};
-
-class SpanScope {
- public:
-  explicit SpanScope(const char*) noexcept {}
-  SpanScope(const SpanScope&) = delete;
-  SpanScope& operator=(const SpanScope&) = delete;
-  void set_arg(const char*, double) noexcept {}
-  [[nodiscard]] bool active() const noexcept { return false; }
-};
-
-class ContextGuard {
- public:
-  explicit ContextGuard(const TraceContext&) noexcept {}
-  ContextGuard(const ContextGuard&) = delete;
-  ContextGuard& operator=(const ContextGuard&) = delete;
+  [[nodiscard]] bool traced() const noexcept { return false; }
 };
 
 #endif  // EVOFORECAST_OBS_ENABLED

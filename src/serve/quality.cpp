@@ -202,7 +202,7 @@ QualityTracker::ObserveResult QualityTracker::observe(std::string_view model,
                                                       std::optional<std::uint64_t> t) {
   ObserveResult result;
   if (!options_.enabled) return result;
-  const obs::SpanScope span("serve.observe");
+  const obs::Span span("serve.observe");
   if (!armed_.load(std::memory_order_relaxed)) {
     armed_.store(true, std::memory_order_relaxed);
     EVOFORECAST_EVENT("quality.armed", {"model", model});

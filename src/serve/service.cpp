@@ -102,7 +102,7 @@ std::shared_ptr<const LoadedModel> ForecastService::prepare(const PredictRequest
 
   std::shared_ptr<const LoadedModel> model;
   {
-    const obs::SpanScope lookup("serve.lookup");
+    const obs::Span lookup("serve.lookup");
     model = store_.get(request.model);
   }
   if (!model) {
@@ -120,7 +120,7 @@ std::shared_ptr<const LoadedModel> ForecastService::prepare(const PredictRequest
 core::Prediction ForecastService::predict_uncached(
     const std::shared_ptr<const LoadedModel>& model, const PredictRequest& request) {
   if (request.horizon == 1) {
-    const obs::SpanScope match("serve.match");
+    const obs::Span match("serve.match");
     return model->forecast(request.window, request.agg);
   }
 
@@ -128,7 +128,7 @@ core::Prediction ForecastService::predict_uncached(
   // forecast back as the newest value. Chain abstention policy: any
   // abstaining step abstains the request (paper semantics — no fabricated
   // bridge values on the serving path).
-  obs::SpanScope match("serve.match");
+  obs::Span match("serve.match");
   match.set_arg("steps", static_cast<double>(request.horizon));
   std::vector<double> window = request.window;
   core::Prediction last;
@@ -146,9 +146,9 @@ core::Prediction ForecastService::predict_uncached(
 }
 
 PredictResponse ForecastService::predict(const PredictRequest& request) {
-  // Root timeline span: every span below shares this request's trace id.
-  // One relaxed atomic load when tracing is off.
-  const obs::TraceScope trace("serve.request");
+  // Root span: when tracing is armed, every span below shares this
+  // request's trace id.
+  const obs::Span trace("serve.request", obs::kRoot);
   const auto start = std::chrono::steady_clock::now();
   EVOFORECAST_COUNT("serve.requests", 1);
 
@@ -160,7 +160,7 @@ PredictResponse ForecastService::predict(const PredictRequest& request) {
   WindowCache::Key key;
   std::optional<WindowCache::Value> answer;
   if (use_cache) {
-    obs::SpanScope cache_span("serve.cache");
+    obs::Span cache_span("serve.cache");
     key = cache_.make_key(model->tag(), static_cast<std::uint32_t>(request.horizon),
                           request.agg, request.window);
     answer = cache_.get(key);
@@ -182,7 +182,7 @@ PredictResponse ForecastService::predict(const PredictRequest& request) {
     if (use_cache) cache_.put(std::move(key), *answer);
   }
 
-  const obs::SpanScope respond("serve.respond");
+  const obs::Span respond("serve.respond");
   response.ok = true;
   response.abstain = answer->abstain;
   response.value = answer->value;

@@ -1,12 +1,15 @@
 // End-to-end determinism: the whole pipeline — generator → dataset →
 // multi-execution training → forecasting → serialisation — must be
-// bit-reproducible from the seeds, including across thread-pool sizes.
+// bit-reproducible from the seeds, including across thread-pool sizes and
+// whether or not tracing is armed.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/rule_system.hpp"
+#include "obs/timeline.hpp"
 #include "series/mackey_glass.hpp"
 #include "series/sunspot.hpp"
 #include "series/venice.hpp"
@@ -133,6 +136,51 @@ TEST(Determinism, IslandTrainingBatchedPathMatchesScalar) {
   ASSERT_EQ(serialised.size(), 2u);
   EXPECT_FALSE(serialised[0].empty());
   EXPECT_EQ(serialised[0], serialised[1]);
+}
+
+TEST(Determinism, IndependentOfArmedTracing) {
+  // Spans only read the clock and write their own sinks: a run traced at
+  // rate 1.0 (every span of every execution lands in the rings) must give
+  // the same rule system and forecasts, byte for byte, as a disarmed run,
+  // on both training schedules. Under EVOFORECAST_OBS=OFF tracing cannot
+  // arm and the comparison holds trivially.
+  const auto mg = ef::series::make_paper_mackey_glass();
+  const WindowDataset train(mg.train, 4, 1);
+  const WindowDataset test(mg.test, 4, 1);
+  ef::util::ThreadPool pool(4);
+
+  for (const auto parallelism :
+       {ef::core::TrainParallelism::kSequential, ef::core::TrainParallelism::kIslands}) {
+    std::vector<std::string> serialised;
+    std::vector<std::string> forecasts;
+    for (const double rate : {0.0, 1.0}) {
+      ef::obs::Timeline::set_sample_rate(rate);
+      const auto result = ef::core::train(
+          train, {.config = small_config(), .pool = &pool, .parallelism = parallelism});
+      std::ostringstream buffer;
+      result.system.save(buffer);
+      serialised.push_back(buffer.str());
+      std::ostringstream predicted;
+      predicted.precision(17);
+      for (const auto& value : result.system.forecast_dataset(test, &pool)) {
+        if (value) {
+          predicted << *value << '\n';
+        } else {
+          predicted << "abstain\n";
+        }
+      }
+      forecasts.push_back(predicted.str());
+    }
+    ef::obs::Timeline::set_sample_rate(0.0);
+    ASSERT_EQ(serialised.size(), 2u);
+    EXPECT_FALSE(serialised[0].empty());
+    EXPECT_EQ(serialised[0], serialised[1]);
+    EXPECT_EQ(forecasts[0], forecasts[1]);
+  }
+#if EVOFORECAST_OBS_ENABLED
+  // The armed runs really traced: their spans are in the rings.
+  EXPECT_FALSE(ef::obs::Timeline::snapshot().spans.empty());
+#endif
 }
 
 TEST(Determinism, SeedChangesResults) {

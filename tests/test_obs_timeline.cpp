@@ -1,10 +1,11 @@
-// Tests for obs/timeline.{hpp,cpp} + obs/timeline_export.hpp: ring
-// wraparound, parent/child nesting, context propagation across a real
-// thread hop, head-sampling, slow-request exemplars, and the Chrome
-// trace-event exporter.
+// Tests for obs::Span's ring sink (obs/timeline.{hpp,cpp}) and
+// obs/timeline_export.hpp: ring wraparound, parent/child nesting, context
+// propagation across a real thread hop, head-sampling, slow-request
+// exemplars, sample-rate and capacity validation, and the Chrome
+// trace-event exporter. The aggregate sink is covered by test_obs_span.cpp.
 //
 // The file compiles (and its unguarded tests pass) under
-// -DEVOFORECAST_OBS=OFF too — every scope becomes an inline stub and
+// -DEVOFORECAST_OBS=OFF too — every span becomes an inline stub and
 // snapshots come back empty — so assertions that need real recording sit
 // behind #if EVOFORECAST_OBS_ENABLED.
 //
@@ -18,7 +19,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,13 +30,12 @@
 
 namespace {
 
-using ef::obs::ContextGuard;
-using ef::obs::SpanScope;
+using ef::obs::kRoot;
+using ef::obs::Span;
 using ef::obs::Timeline;
 using ef::obs::TimelineSnapshot;
 using ef::obs::TimelineSpan;
 using ef::obs::TraceContext;
-using ef::obs::TraceScope;
 
 [[maybe_unused]] std::vector<TimelineSpan> spans_of(const TimelineSnapshot& snap,
                                                     std::uint64_t trace_id) {
@@ -55,16 +57,16 @@ TEST(ObsTimeline, RingWrapsAroundKeepingNewestSpans) {
   std::uint64_t trace_id = 0;
   std::uint64_t last_span = 0;
   std::thread emitter([&] {
-    const TraceScope root("wrap.root");
+    const Span root("wrap.root", kRoot);
     trace_id = root.trace_id();
-    const TraceContext ctx = root.context();
-    for (std::int64_t i = 0; i < 10; ++i) {
-      last_span = Timeline::emit(ctx, "wrap.span", i, i + 1);
+    for (int i = 0; i < 10; ++i) {
+      const Span span("wrap.span");
+      last_span = span.context().span_id;
     }
   });
   emitter.join();
 
-  // 10 emits + the root close went through a 4-slot ring: at most 4 spans
+  // 10 children + the root close went through a 4-slot ring: at most 4 spans
   // survive, the newest writes win, and the last-emitted span is among them.
   const auto spans = spans_of(Timeline::snapshot(), trace_id);
   ASSERT_GT(trace_id, 0u);
@@ -87,11 +89,12 @@ TEST(ObsTimeline, NestedScopesRecordParentChildWithArgs) {
 
   std::uint64_t trace_id = 0;
   {
-    const TraceScope root("nest.root");
-    EXPECT_TRUE(root.active());
+    const Span root("nest.root", kRoot);
+    EXPECT_TRUE(root.traced());
     trace_id = root.trace_id();
-    SpanScope child("nest.child");
-    EXPECT_TRUE(child.active());
+    Span child("nest.child");
+    EXPECT_TRUE(child.traced());
+    EXPECT_EQ(child.trace_id(), trace_id);
     child.set_arg("k", 7.0);
   }
 
@@ -116,22 +119,24 @@ TEST(ObsTimeline, ContextCrossesThreadHop) {
   std::uint64_t trace_id = 0;
   std::uint64_t root_span = 0;
   {
-    const TraceScope root("hop.root");
+    const Span root("hop.root", kRoot);
     trace_id = root.trace_id();
     const TraceContext ctx = root.context();
     root_span = ctx.span_id;
     // Pin this thread's ring before the worker runs: rings are recycled
     // through a free pool, so otherwise the worker's parked ring (same
     // thread_index) would be handed to this thread at root close.
-    Timeline::emit(ctx, "hop.prelude", 0, 1);
+    { const Span prelude("hop.prelude"); }
     std::thread worker([ctx] {
-      const ContextGuard guard(ctx);
-      EXPECT_EQ(ef::obs::current_context().trace_id, ctx.trace_id);
-      const SpanScope span("hop.worker");
-      EXPECT_TRUE(span.active());
+      {
+        const Span span("hop.worker", ctx);
+        EXPECT_TRUE(span.traced());
+        EXPECT_EQ(ef::obs::current_context().trace_id, ctx.trace_id);
+      }
+      EXPECT_FALSE(ef::obs::current_context().active());  // worker's own context back
     });
     worker.join();
-    EXPECT_FALSE(ef::obs::current_context().trace_id == 0);  // guard restored
+    EXPECT_EQ(ef::obs::current_context().span_id, root_span);
   }
 
   const auto spans = spans_of(Timeline::snapshot(), trace_id);
@@ -149,32 +154,39 @@ TEST(ObsTimeline, ContextCrossesThreadHop) {
   EXPECT_NE(worker->thread_index, root->thread_index);
 }
 
-TEST(ObsTimeline, RetrospectiveEmitDefaultsParentToContextSpan) {
+TEST(ObsTimeline, HandedOverContextBecomesParentAndIsRestored) {
   Timeline::set_sample_rate(1.0);
   Timeline::reset();
 
   const TraceContext ctx{4242, 17, true};
-  const std::uint64_t id = Timeline::emit(ctx, "emit.span", 100, 250, 0, "batch", 3.0);
-  ASSERT_NE(id, 0u);
+  std::uint64_t id = 0;
+  {
+    Span span("handed.span", ctx);
+    span.set_arg("batch", 3.0);
+    id = span.context().span_id;
+    { const Span nested("handed.nested"); }
+  }
+  EXPECT_FALSE(ef::obs::current_context().active());
 
   const auto spans = spans_of(Timeline::snapshot(), 4242);
-  ASSERT_EQ(spans.size(), 1u);
-  EXPECT_EQ(spans[0].span_id, id);
-  EXPECT_EQ(spans[0].parent_id, 17u);  // parent 0 means "under ctx.span_id"
-  EXPECT_EQ(spans[0].t_start_us, 100);
-  EXPECT_EQ(spans[0].dur_us, 150);
-  ASSERT_NE(spans[0].arg_key, nullptr);
-  EXPECT_EQ(std::string(spans[0].arg_key), "batch");
+  ASSERT_EQ(spans.size(), 2u);
+  const bool first_is_span = std::string(spans[0].name) == "handed.span";
+  const TimelineSpan& span = first_is_span ? spans[0] : spans[1];
+  const TimelineSpan& nested = first_is_span ? spans[1] : spans[0];
+  EXPECT_EQ(span.span_id, id);
+  EXPECT_EQ(span.parent_id, 17u);
+  EXPECT_EQ(nested.parent_id, id);
+  EXPECT_GE(span.dur_us, nested.dur_us);
+  ASSERT_NE(span.arg_key, nullptr);
+  EXPECT_EQ(std::string(span.arg_key), "batch");
 }
 
 TEST(ObsTimeline, ExporterKeepsSampledAndSlowDropsRest) {
   Timeline::set_sample_rate(1.0);
   Timeline::reset();
 
-  const TraceContext sampled_ctx{1001, 0, true};
-  Timeline::emit(sampled_ctx, "exp.sampled", 10, 20);
-  const TraceContext unsampled_ctx{1002, 0, false};
-  Timeline::emit(unsampled_ctx, "exp.unsampled", 30, 40);
+  { const Span span("exp.sampled", TraceContext{1001, 0, true}); }
+  { const Span span("exp.unsampled", TraceContext{1002, 0, false}); }
 
   std::string json = ef::obs::chrome_trace_json();
   EXPECT_NE(json.find("\"displayTimeUnit\""), std::string::npos);
@@ -198,7 +210,7 @@ TEST(ObsTimeline, HeadSamplingDrawsBothWays) {
 
   int sampled = 0;
   for (int i = 0; i < 256; ++i) {
-    const TraceScope t("draw.root");
+    const Span t("draw.root", kRoot);
     sampled += t.context().sampled ? 1 : 0;
   }
   // P(all 256 draws agree) = 2^-255: a failure here is a broken RNG or a
@@ -217,14 +229,14 @@ TEST(ObsTimeline, DisarmedScopesAreInactiveAndRecordNothing) {
   Timeline::reset();
   EXPECT_FALSE(Timeline::enabled());
   {
-    const TraceScope root("off.root");
-    EXPECT_FALSE(root.active());
+    const Span root("off.root", kRoot);
+    EXPECT_FALSE(root.traced());
     EXPECT_EQ(root.trace_id(), 0u);
     EXPECT_FALSE(root.context().active());
     EXPECT_FALSE(ef::obs::current_context().active());
-    SpanScope child("off.child");
+    Span child("off.child");
     child.set_arg("k", 1.0);
-    EXPECT_FALSE(child.active());
+    EXPECT_FALSE(child.traced());
   }
   EXPECT_TRUE(Timeline::snapshot().spans.empty());
 }
@@ -233,9 +245,9 @@ TEST(ObsTimeline, InactiveContextEmitsNothing) {
   Timeline::set_sample_rate(0.0);
   Timeline::reset();
   const TraceContext none{};
-  EXPECT_EQ(Timeline::emit(none, "noop", 0, 1), 0u);
   {
-    const ContextGuard guard(none);
+    const Span span("noop", none);
+    EXPECT_FALSE(span.traced());
     EXPECT_FALSE(ef::obs::current_context().active());
   }
   Timeline::mark_slow(0, 1.0);  // trace id 0 is "no trace": ignored
@@ -243,5 +255,41 @@ TEST(ObsTimeline, InactiveContextEmitsNothing) {
   EXPECT_TRUE(snap.spans.empty());
   EXPECT_TRUE(snap.slow.empty());
 }
+
+TEST(ObsTimeline, NonFiniteSampleRateDisarms) {
+  for (const double rate : {std::nan(""), std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity(), -1.0}) {
+    Timeline::set_sample_rate(0.5);
+    Timeline::set_sample_rate(rate);
+    EXPECT_FALSE(Timeline::enabled()) << rate;
+    EXPECT_EQ(Timeline::sample_rate(), 0.0) << rate;
+    const Span root("nan.root", kRoot);
+    EXPECT_FALSE(root.traced()) << rate;
+  }
+}
+
+#if EVOFORECAST_OBS_ENABLED
+
+// Run by ctest in a fresh process, where this thread's first traced span
+// allocates its ring at the clamped capacity.
+TEST(ObsTimeline, OversizedRingCapacityIsClamped) {
+  Timeline::set_ring_capacity(std::numeric_limits<std::size_t>::max());
+  EXPECT_EQ(Timeline::ring_capacity(), ef::obs::kMaxRingCapacity);
+  Timeline::set_ring_capacity(0);
+  EXPECT_EQ(Timeline::ring_capacity(), 1u);
+  Timeline::set_ring_capacity(std::numeric_limits<std::size_t>::max());
+  Timeline::set_sample_rate(1.0);
+  Timeline::reset();
+  std::uint64_t trace_id = 0;
+  {
+    const Span root("huge.root", kRoot);
+    trace_id = root.trace_id();
+  }
+  EXPECT_EQ(spans_of(Timeline::snapshot(), trace_id).size(), 1u);
+  Timeline::set_ring_capacity(8192);
+  Timeline::set_sample_rate(0.0);
+}
+
+#endif  // EVOFORECAST_OBS_ENABLED
 
 }  // namespace

@@ -7,7 +7,9 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cmath>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,6 +18,8 @@
 #include "core/multistep.hpp"
 #include "core/rule.hpp"
 #include "core/rule_system.hpp"
+#include "obs/timeline.hpp"
+#include "serve/json.hpp"
 #include "serve/model_store.hpp"
 #include "serve/protocol.hpp"
 #include "serve/reactor.hpp"
@@ -87,7 +91,8 @@ RuleSystem make_covering_system() {
 PredictRequest request_for(std::vector<double> window, std::size_t horizon = 1,
                            Aggregation agg = Aggregation::kMean) {
   PredictRequest req;
-  req.model = "m";
+  // Not operator=(const char*): gcc 12 raises a -Wrestrict false positive on it here.
+  req.model = std::string("m");
   req.window = std::move(window);
   req.horizon = horizon;
   req.agg = agg;
@@ -368,6 +373,31 @@ TEST(ForecastService, GracefulShutdownDrainsThenRejects) {
 
 // --- protocol ---------------------------------------------------------------
 
+#if EVOFORECAST_OBS_ENABLED
+
+TEST(ForecastService, ArmedRequestLandsSameSpanNamesInBothSinks) {
+  ModelStore store;
+  store.add_system("m", make_system());
+  ForecastService service(store);
+  ef::obs::Timeline::set_sample_rate(1.0);
+  ef::obs::Timeline::reset();
+
+  const auto response = service.predict(request_for({0.5, 0.5, 0.5}));  // a cache miss
+  ef::obs::Timeline::set_sample_rate(0.0);
+  ASSERT_TRUE(response.ok);
+
+  std::set<std::string> ring;
+  for (const auto& span : ef::obs::Timeline::snapshot().spans) ring.insert(span.name);
+  std::set<std::string> aggregate;
+  for (const auto& span : ef::obs::Timeline::aggregates()) aggregate.insert(span.name);
+  const std::set<std::string> expected{"serve.cache", "serve.lookup", "serve.match",
+                                       "serve.request", "serve.respond"};
+  EXPECT_EQ(ring, expected);
+  EXPECT_EQ(aggregate, expected);
+}
+
+#endif  // EVOFORECAST_OBS_ENABLED
+
 TEST(Protocol, ParsePredictRequest) {
   ef::serve::ProtocolError error;
   const auto req = ef::serve::parse_request(
@@ -543,6 +573,32 @@ TEST(Reactor, LoopbackRoundtrip) {
   server.stop();
   EXPECT_FALSE(server.running());
   EXPECT_GE(server.connections_served(), 1u);
+}
+
+TEST(Reactor, TraceVerbReplyIsValidJsonAfterNanSampleRate) {
+  ModelStore store;
+  store.add_system("m", make_system());
+  ServeOptions options;
+  options.port = 0;
+  options.trace_sample = std::nan("");  // not >= 0: the service leaves the rate alone
+  ForecastService service(store, options);
+  ef::obs::Timeline::set_sample_rate(std::nan(""));
+  ef::serve::Reactor server(service);
+  server.start();
+  LineClient client(server.port());
+  ASSERT_TRUE(client.connected());
+
+  const std::string reply = client.roundtrip(R"({"cmd":"trace"})");
+  server.stop();
+  std::string error;
+  const auto parsed = ef::serve::json::parse(reply, error);
+  ASSERT_TRUE(parsed.has_value()) << error << ": " << reply;
+  const auto* object = parsed->as_object();
+  ASSERT_NE(object, nullptr);
+  ASSERT_NE(object->at("sample").as_number(), nullptr);
+  EXPECT_EQ(*object->at("sample").as_number(), 0.0);
+  ASSERT_NE(object->at("enabled").as_bool(), nullptr);
+  EXPECT_FALSE(*object->at("enabled").as_bool());
 }
 
 TEST(Reactor, ConcurrentClients) {

@@ -4,7 +4,7 @@
 // interleavings production traffic produces and unit tests don't: model
 // hot-reload under live predictions, sharded cache churn with eviction,
 // event-log append against snapshot, windowed-collector sampling against
-// queries, timeline span emission against snapshot/export/reset, and
+// queries, span aggregates and rings against snapshot/export/reset, and
 // overlapping parallel_for rounds on one shared pool.
 //
 // The assertions are deliberately coarse (values sane, counts add up); the
@@ -276,12 +276,13 @@ TEST(StressConcurrency, WindowedCollectorSampleAgainstQuery) {
   EXPECT_GT(it->value, 0u);
 }
 
-TEST(StressConcurrency, TimelineEmitAgainstExport) {
-  // Per-thread seqlock rings: 6 threads emit span trees (scopes, a context
-  // hop, retrospective emits) while 2 readers snapshot, export to Chrome
-  // JSON, and mark slow exemplars, and one thread periodically reset()s the
-  // rings mid-flight. TSan is the oracle; the inline assertions only check
-  // that torn reads never surface (the seqlock skips mid-write slots).
+TEST(StressConcurrency, SpansAgainstSnapshot) {
+  // Both span sinks under fire: 6 threads close span trees (a root, a child
+  // with an arg, a span under a handed-over context) into their aggregate
+  // tables and seqlock rings while 2 readers merge the aggregates, snapshot
+  // and export the rings, and mark slow exemplars, and one thread
+  // periodically reset()s everything mid-flight. TSan is the oracle; the
+  // inline assertions check that torn reads never surface.
   ef::obs::Timeline::set_ring_capacity(256);
   ef::obs::Timeline::set_sample_rate(1.0);
   ef::obs::Timeline::reset();
@@ -290,23 +291,27 @@ TEST(StressConcurrency, TimelineEmitAgainstExport) {
   const std::size_t per_writer = 400 * kIterScale;
   std::atomic<bool> stop{false};
 
-  auto writers = spawn(kWriters, [&](std::size_t t) {
-    for (std::size_t i = 0; i < per_writer; ++i) {
-      const ef::obs::TraceScope root("stress.request");
-      const ef::obs::TraceContext ctx = root.context();
+  const auto write_spans = [](std::size_t t, std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      const ef::obs::Span root("stress.request", ef::obs::kRoot);
       {
-        ef::obs::SpanScope child("stress.child");
+        ef::obs::Span child("stress.child");
         child.set_arg("writer", static_cast<double>(t));
       }
-      // The thread-hop pattern: adopt the context and emit retrospectively.
-      const ef::obs::ContextGuard guard(ctx);
-      ef::obs::Timeline::emit(ctx, "stress.emit", static_cast<std::int64_t>(i),
-                              static_cast<std::int64_t>(i) + 2);
+      // The thread-hop pattern: a span opened under a handed-over context.
+      const ef::obs::Span handed("stress.handed", root.context());
     }
-  });
+  };
+  auto writers = spawn(kWriters, [&](std::size_t t) { write_spans(t, per_writer); });
   auto readers = spawn(2, [&](std::size_t r) {
     std::string parse_error;
     while (!stop.load(std::memory_order_relaxed)) {
+      for (const auto& span : ef::obs::Timeline::aggregates()) {
+        ASSERT_GT(span.stats.calls, 0u) << span.name;
+        ASSERT_LE(span.stats.self_ns, span.stats.total_ns) << span.name;
+        ASSERT_LE(span.stats.min_ns, span.stats.max_ns) << span.name;
+        ASSERT_LE(span.stats.max_ns, span.stats.total_ns) << span.name;
+      }
       const auto snap = ef::obs::Timeline::snapshot();
       for (const auto& span : snap.spans) {
         ASSERT_NE(span.trace_id, 0u);  // reset/mid-write slots are skipped
@@ -330,6 +335,22 @@ TEST(StressConcurrency, TimelineEmitAgainstExport) {
   stop.store(true);
   join_all(readers);
   resetter.join();
+
+  // Quiet phase: with no reset in flight, every closed span is counted once
+  // in the merged aggregates, whichever (possibly recycled) table took it.
+  ef::obs::Timeline::reset();
+  constexpr std::size_t kQuietSpans = 50;
+  auto quiet = spawn(kWriters, [&](std::size_t t) { write_spans(t, kQuietSpans); });
+  join_all(quiet);
+#if EVOFORECAST_OBS_ENABLED
+  const auto totals = ef::obs::Timeline::aggregates();
+  for (const char* name : {"stress.request", "stress.child", "stress.handed"}) {
+    const auto it = std::find_if(totals.begin(), totals.end(),
+                                 [&](const auto& span) { return span.name == name; });
+    ASSERT_NE(it, totals.end()) << name;
+    EXPECT_EQ(it->stats.calls, kWriters * kQuietSpans) << name;
+  }
+#endif
 
   ef::obs::Timeline::set_sample_rate(0.0);
   ef::obs::Timeline::reset();
