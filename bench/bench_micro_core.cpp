@@ -11,7 +11,6 @@
 #include "core/evolution.hpp"
 #include "core/fitness.hpp"
 #include "core/match_engine.hpp"
-#include "core/rule_index.hpp"
 #include "core/rule_system.hpp"
 #include "series/venice.hpp"
 #include "util/thread_pool.hpp"
@@ -133,22 +132,20 @@ void BM_RuleSystemQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_RuleSystemQuery)->Unit(benchmark::kMicrosecond);
 
-void BM_RuleIndexQuery(benchmark::State& state) {
+/// The serving path: single-window forecasts over planes compiled once.
+void BM_CompiledQuery(benchmark::State& state) {
   const auto& data = venice_dataset(10000);
   const auto& system = query_system();
-  static const ef::core::RuleIndex index(system, venice_dataset(10000).value_min(),
-                                         venice_dataset(10000).value_max(),
-                                         static_cast<std::size_t>(state.range(0)));
+  const ef::core::RulePlanes planes = system.compile_planes(data.window());
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(index.forecast(data.pattern(i)).as_optional());
+    benchmark::DoNotOptimize(system.forecast(planes, data.pattern(i)).as_optional());
     i = (i + 1) % data.count();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(system.size()));
-  state.counters["mean_candidates"] = index.mean_candidates();
   state.counters["rules"] = static_cast<double>(system.size());
 }
-BENCHMARK(BM_RuleIndexQuery)->Arg(64)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_CompiledQuery)->Unit(benchmark::kMicrosecond);
 
 }  // namespace

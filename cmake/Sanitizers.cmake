@@ -43,6 +43,14 @@ if(EVOFORECAST_SANITIZE)
       "run them as separate builds (CI runs one job per pairing)")
   endif()
 
+  # GCC leaves float-cast-overflow out of -fsanitize=undefined (Clang has it
+  # in the group), so a double → integer conversion of NaN or of an
+  # out-of-range value would pass a GCC UBSan build unreported. Name it
+  # explicitly so both compilers check it.
+  if("undefined" IN_LIST _ef_san_list)
+    list(APPEND _ef_san_list float-cast-overflow)
+  endif()
+
   list(JOIN _ef_san_list "," _ef_san_csv)
   set(EVOFORECAST_SANITIZE_ACTIVE "${_ef_san_csv}")
   message(STATUS "evoforecast: building with -fsanitize=${_ef_san_csv}")

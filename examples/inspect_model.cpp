@@ -14,7 +14,6 @@
 #include <sstream>
 
 #include "core/introspection.hpp"
-#include "core/rule_index.hpp"
 #include "core/rule_system.hpp"
 #include "obs/run_report.hpp"
 #include "series/csv.hpp"
@@ -95,11 +94,6 @@ int main(int argc, char** argv) {
     mean_votes /= static_cast<double>(data.count());
     std::printf("  votes per covered window: mean %.1f, max %zu (of %zu rules)\n",
                 mean_votes, max_votes, system.size());
-
-    // Index effectiveness preview.
-    const ef::core::RuleIndex index(system, data.value_min(), data.value_max());
-    std::printf("  query index: dimension %zu, mean candidates %.1f of %zu rules\n",
-                index.dimension(), index.mean_candidates(), system.size());
 
     // Which lags does the rule set constrain? (0 = oldest gene position)
     const auto importance =

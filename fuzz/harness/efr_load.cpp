@@ -1,3 +1,4 @@
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -8,6 +9,16 @@
 #include "harness.hpp"
 
 namespace ef::fuzz {
+namespace {
+
+bool same_double(double a, double b) { return a == b || (std::isnan(a) && std::isnan(b)); }
+
+bool same(const core::Prediction& a, const core::Prediction& b) {
+  return a.abstained == b.abstained && a.votes == b.votes &&
+         (a.abstained || (same_double(a.value, b.value) && same_double(a.bound, b.bound)));
+}
+
+}  // namespace
 
 int efr_load(const std::uint8_t* data, std::size_t size) {
   std::istringstream in(std::string(reinterpret_cast<const char*>(data), size));
@@ -35,9 +46,22 @@ int efr_load(const std::uint8_t* data, std::size_t size) {
     std::fprintf(stderr, "efr_load invariant violated: save/load changed rule count\n");
     std::abort();
   }
+  // The compiled single-window path (what serving runs) must equal the
+  // reference forecast, on the probe and on a probe with one lag far
+  // outside any gene range.
   if (!system.empty()) {
-    const std::vector<double> window(system.rules().front().window(), 0.5);
-    (void)system.forecast(window);
+    std::vector<double> window(system.rules().front().window(), 0.5);
+    const core::RulePlanes planes = system.compile_planes(window.size());
+    for (const double last : {0.5, 1e300, -1e300}) {
+      window.back() = last;
+      if (!same(system.forecast(planes, window), system.forecast(window))) {
+        std::fprintf(stderr,
+                     "efr_load invariant violated: compiled forecast differs from the "
+                     "reference at last lag %g\n",
+                     last);
+        std::abort();
+      }
+    }
   }
   return 0;
 }

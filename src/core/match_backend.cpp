@@ -71,8 +71,11 @@ MatchBackend resolve_match_backend(MatchBackend configured) {
 }
 
 std::uint8_t quantize_value(double v, double qmin, double qinv) noexcept {
-  if (!(v == v)) return 0;  // NaN: exact verification rejects it anyway
-  return static_cast<std::uint8_t>(std::clamp(std::floor((v - qmin) * qinv), 0.0, 255.0));
+  const double scaled = std::floor((v - qmin) * qinv);
+  // NaN (a NaN value, inf·0 or 0·inf) must not reach the cast: converting
+  // NaN to an integer is undefined behaviour.
+  if (!(scaled == scaled)) return 0;
+  return static_cast<std::uint8_t>(std::clamp(scaled, 0.0, 255.0));
 }
 
 RulePlanes build_rule_planes(std::span<const std::span<const Interval>> rule_genes,
@@ -85,6 +88,8 @@ RulePlanes build_rule_planes(std::span<const std::span<const Interval>> rule_gen
   p.window = window;
   p.padded = (p.rule_count + kLane - 1) / kLane * kLane;
   p.padded_genes = (window + 3) / 4 * 4;
+  p.qmin = qmin;
+  p.qinv = qinv;
   if (p.rule_count == 0) return p;
 
   // Padding lanes and inactive rules keep the impossible range lo=255 /

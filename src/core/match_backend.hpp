@@ -67,8 +67,9 @@ enum class MatchBackend {
 
 /// Lag-major (transposed) view of packed windows: column j holds the value
 /// of lag j for every window, contiguously. Built once by WindowDataset at
-/// construction, together with the mirrors below; forecast_batch builds a
-/// rows + qrows view per batch for the rule-major kernel.
+/// construction, together with the mirrors below; RuleSystem's forecast and
+/// coverage entries build a rows + qrows view per block of windows for the
+/// rule-major kernel.
 struct LagMajorView {
   const double* data = nullptr;  ///< window columns of `count` doubles each
   std::size_t count = 0;         ///< windows (rows of the logical matrix)
@@ -102,15 +103,18 @@ struct LagMajorView {
 };
 
 /// Quantized lo/hi byte planes plus exact verification mirrors for a whole
-/// rule set — the input of the rule-major batched kernel. Built once per
-/// evaluation batch (build_rule_planes); plane j is `padded` bytes, one lane
-/// per rule, padded to the SIMD lane count with impossible ranges
+/// rule set — the input of the rule-major batched kernel. Built by
+/// build_rule_planes (training: once per evaluation batch; forecasting: once
+/// per model, RuleSystem::compile_planes); plane j is `padded` bytes, one
+/// lane per rule, padded to the SIMD lane count with impossible ranges
 /// (lo=255, hi=0) so padding lanes can never produce a candidate.
 struct RulePlanes {
   std::size_t rule_count = 0;  ///< real rules (before lane padding)
   std::size_t window = 0;      ///< D — gene count every active rule must have
   std::size_t padded = 0;      ///< rule_count rounded up to the lane width
   std::size_t padded_genes = 0;  ///< window rounded up to 4 (AVX2 double lanes)
+  double qmin = 0.0;  ///< the byte map the planes were quantized with; windows
+  double qinv = 0.0;  ///< matched against them must be quantized the same way
 
   std::vector<std::uint8_t> qlo;  ///< window planes × padded lanes
   std::vector<std::uint8_t> qhi;  ///< same layout as qlo
@@ -130,7 +134,10 @@ struct RulePlanes {
 
 /// Quantize one value through the view's monotone byte map. NaN maps to 0 —
 /// safe because a bounded gene's exact verification rejects NaN anyway and a
-/// wildcard's byte range is the full [0, 255].
+/// wildcard's byte range is the full [0, 255]. So does a NaN product (±inf
+/// under a degenerate qinv == 0 map, or v == qmin under qinv == inf): the
+/// degenerate map sends every value to 0, and qmin is the map's minimum, so
+/// the map stays monotone.
 [[nodiscard]] std::uint8_t quantize_value(double v, double qmin, double qinv) noexcept;
 
 /// Build the batched planes for a rule set. `rule_genes[r]` is rule r's gene

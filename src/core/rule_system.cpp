@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <istream>
-#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -13,6 +12,7 @@
 #include "core/match_backend.hpp"
 #include "obs/macros.hpp"
 #include "obs/timeline.hpp"
+#include "util/function_ref.hpp"
 #include "util/rng.hpp"
 
 namespace ef::core {
@@ -33,6 +33,97 @@ inline void note_prediction(std::size_t votes) {
 #endif
 }
 
+/// One window's Prediction from its vote set — the tail every forecast path
+/// shares. The bound is derived from the same votes the value came from.
+Prediction predict(const std::vector<Vote>& votes, Aggregation how) {
+  note_prediction(votes.size());
+  Prediction out;
+  out.votes = votes.size();
+  const auto value = aggregate_votes(votes, how);
+  out.abstained = !value.has_value();
+  if (value) {
+    out.value = *value;
+    out.bound = vote_bound(votes, *value);
+  }
+  return out;
+}
+
+/// Value range spanned by the rule set's non-wildcard genes — the byte map
+/// of the compiled planes. nullopt when no gene bounds exist (all wildcard
+/// or empty system) or they collapse to one value.
+std::optional<std::pair<double, double>> gene_value_range(std::span<const Rule> rules) {
+  bool seen = false;
+  double lo = 0.0;
+  double hi = 0.0;
+  for (const Rule& rule : rules) {
+    for (const Interval& gene : rule.genes()) {
+      if (gene.is_wildcard()) continue;
+      if (!seen) {
+        lo = gene.lo();
+        hi = gene.hi();
+        seen = true;
+      } else {
+        lo = std::min(lo, gene.lo());
+        hi = std::max(hi, gene.hi());
+      }
+    }
+  }
+  if (!seen || !(hi > lo)) return std::nullopt;
+  return std::make_pair(lo, hi);
+}
+
+/// Windows per kernel call. Bounds the per-thread scratch below (one match
+/// list per rule, one vote list per window), which lives as long as its
+/// thread, whatever range the caller asks for: with 256 a 372-rule coverage
+/// scan left ~1 MB on every pool worker.
+constexpr std::size_t kVoteBlock = 64;
+
+/// Per-thread scratch of the vote kernel, reused across calls so a
+/// single-window forecast allocates nothing once warm.
+struct VoteScratch {
+  std::vector<std::vector<std::size_t>> matched;  ///< per rule: block-relative windows
+  std::vector<std::vector<Vote>> votes;           ///< per window of the block
+  std::vector<std::uint8_t> qrows;                ///< the block through the planes' map
+};
+
+/// The one match path of every compiled entry: windows [begin, end) of the
+/// row-major `rows` (planes.window lags each) run through the rule-major
+/// kernel in blocks, and each window's votes reach `emit` in ascending rule
+/// order — exactly the list collect_votes builds, hence identical
+/// aggregation under every strategy.
+void for_each_vote_set(std::span<const Rule> rules, const RulePlanes& planes,
+                       const double* rows, std::size_t begin, std::size_t end,
+                       util::FunctionRef<void(std::size_t, const std::vector<Vote>&)> emit) {
+  thread_local VoteScratch s;
+  const std::size_t d = planes.window;
+  if (s.matched.size() < planes.rule_count) s.matched.resize(planes.rule_count);
+  if (s.votes.size() < kVoteBlock) s.votes.resize(kVoteBlock);
+  for (std::size_t b = begin; b < end; b += kVoteBlock) {
+    const std::size_t n = std::min(end - b, kVoteBlock);
+    const double* block = rows + b * d;
+    s.qrows.resize(n * d);
+    for (std::size_t k = 0; k < n * d; ++k) {
+      s.qrows[k] = quantize_value(block[k], planes.qmin, planes.qinv);
+    }
+    LagMajorView view{};
+    view.count = n;
+    view.window = d;
+    view.rows = block;
+    view.qrows = s.qrows.data();
+    for (std::size_t r = 0; r < planes.rule_count; ++r) s.matched[r].clear();
+    for (std::size_t i = 0; i < n; ++i) s.votes[i].clear();
+    matchkern::rule_major_match(view, planes, 0, n, s.matched);
+    for (std::size_t r = 0; r < planes.rule_count; ++r) {
+      const Rule& rule = rules[r];
+      for (const std::size_t i : s.matched[r]) {
+        s.votes[i].push_back(
+            Vote{rule.forecast({block + i * d, d}), rule.fitness(), rule.predicting()->error()});
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) emit(b + i, s.votes[i]);
+  }
+}
+
 }  // namespace
 
 void RuleSystem::add_rules(std::vector<Rule> rules, bool discard_unfit, double f_min) {
@@ -44,18 +135,34 @@ void RuleSystem::add_rules(std::vector<Rule> rules, bool discard_unfit, double f
 }
 
 Prediction RuleSystem::forecast(std::span<const double> window, Aggregation how) const {
-  std::vector<Vote> votes = collect_votes(rules_, window);
-  note_prediction(votes.size());
-  Prediction out;
-  out.votes = votes.size();
-  // Votes survive the aggregation (copied in) so the interval half-width can
-  // be derived from the same vote set the value came from.
-  const auto value = aggregate_votes(votes, how);
-  out.abstained = !value.has_value();
-  if (value) {
-    out.value = *value;
-    out.bound = vote_bound(votes, *value);
+  return predict(collect_votes(rules_, window), how);
+}
+
+RulePlanes RuleSystem::compile_planes(std::size_t window) const {
+  // Any monotone byte map keeps the byte test a superset of the exact one;
+  // spreading the genes' own range over all 256 levels keeps it selective.
+  // Degenerate ranges collapse to the identity-0 map: every byte test
+  // passes, exact verification decides.
+  const auto range = gene_value_range(rules_);
+  const double qmin = range ? range->first : 0.0;
+  const double qinv = range ? 255.0 / (range->second - range->first) : 0.0;
+  std::vector<std::span<const Interval>> genes(rules_.size());
+  for (std::size_t r = 0; r < rules_.size(); ++r) {
+    // Non-predicting or wrong-dimension rules become inactive lanes: the
+    // same rules collect_votes skips.
+    if (rules_[r].predicting() && rules_[r].window() == window) genes[r] = rules_[r].genes();
   }
+  return build_rule_planes(genes, window, qmin, qinv);
+}
+
+Prediction RuleSystem::forecast(const RulePlanes& planes, std::span<const double> window,
+                                Aggregation how) const {
+  if (window.size() != planes.window) return forecast(window, how);
+  Prediction out;
+  for_each_vote_set(rules_, planes, window.data(), 0, 1,
+                    [&](std::size_t, const std::vector<Vote>& votes) {
+                      out = predict(votes, how);
+                    });
   return out;
 }
 
@@ -75,72 +182,15 @@ std::vector<Prediction> RuleSystem::forecast_batch(std::span<const double> flat_
 
   std::vector<Prediction> out(n);
   if (n == 0) return out;
-
-  // Quantize the batch with a batch-local byte map (any monotone map
-  // preserves the candidate-superset property — the training map isn't
-  // needed), build the planes of the whole rule set once, and match every
-  // rule against each chunk in a single rule-major pass.
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
-  for (const double v : flat_windows) {
-    if (std::isfinite(v)) {
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
-    }
-  }
-  LagMajorView view{};
-  view.count = n;
-  view.window = window;
-  view.rows = flat_windows.data();
-  // Degenerate batches (constant, or no finite value at all) collapse to
-  // the identity-0 map: every byte test passes, exact verification decides.
-  view.qmin = hi > lo ? lo : 0.0;
-  view.qinv = hi > lo ? 255.0 / (hi - lo) : 0.0;
-  std::vector<std::uint8_t> qrows(flat_windows.size());
-  for (std::size_t k = 0; k < qrows.size(); ++k) {
-    qrows[k] = quantize_value(flat_windows[k], view.qmin, view.qinv);
-  }
-  view.qrows = qrows.data();
-  std::vector<std::span<const Interval>> genes(rules_.size());
-  for (std::size_t r = 0; r < rules_.size(); ++r) {
-    // Non-predicting or wrong-dimension rules become inactive lanes: the
-    // same rules collect_votes skips.
-    if (rules_[r].predicting() && rules_[r].window() == window) {
-      genes[r] = rules_[r].genes();
-    }
-  }
-  const RulePlanes planes = build_rule_planes(genes, window, view.qmin, view.qinv);
-
+  const RulePlanes planes = compile_planes(window);
   util::ThreadPool& tp = pool ? *pool : util::ThreadPool::shared();
   tp.parallel_for(
       0, n,
       [&](std::size_t begin, std::size_t end) {
-        // Per-window vote lists fill in ascending rule order — exactly the
-        // vectors the window-outer collect_votes path builds, hence
-        // identical aggregation for every strategy.
-        std::vector<std::vector<std::size_t>> matched(rules_.size());
-        matchkern::rule_major_match(view, planes, begin, end, matched);
-        std::vector<std::vector<Vote>> votes(end - begin);
-        for (std::size_t r = 0; r < rules_.size(); ++r) {
-          const Rule& rule = rules_[r];
-          for (const std::size_t i : matched[r]) {
-            const auto w = flat_windows.subspan(i * window, window);
-            votes[i - begin].push_back(
-                Vote{rule.forecast(w), rule.fitness(), rule.predicting()->error()});
-          }
-        }
-        for (std::size_t i = begin; i < end; ++i) {
-          std::vector<Vote>& v = votes[i - begin];
-          note_prediction(v.size());
-          Prediction& p = out[i];
-          p.votes = v.size();
-          const auto value = aggregate_votes(v, how);
-          p.abstained = !value.has_value();
-          if (value) {
-            p.value = *value;
-            p.bound = vote_bound(v, *value);
-          }
-        }
+        for_each_vote_set(rules_, planes, flat_windows.data(), begin, end,
+                          [&](std::size_t i, const std::vector<Vote>& votes) {
+                            out[i] = predict(votes, how);
+                          });
       },
       /*grain=*/16);
   return out;
@@ -156,13 +206,7 @@ std::size_t RuleSystem::vote_count(std::span<const double> window) const {
 
 series::PartialForecast RuleSystem::forecast_dataset(const WindowDataset& data,
                                                      util::ThreadPool* pool) const {
-  const obs::Span span("core.forecast_dataset");
-  series::PartialForecast out(data.count());
-  util::ThreadPool& tp = pool ? *pool : util::ThreadPool::shared();
-  tp.parallel_for(0, data.count(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) out[i] = forecast(data.pattern(i)).as_optional();
-  });
-  return out;
+  return forecast_dataset(data, Aggregation::kMean, pool);
 }
 
 series::PartialForecast RuleSystem::forecast_dataset(const WindowDataset& data,
@@ -170,10 +214,13 @@ series::PartialForecast RuleSystem::forecast_dataset(const WindowDataset& data,
                                                      util::ThreadPool* pool) const {
   const obs::Span span("core.forecast_dataset");
   series::PartialForecast out(data.count());
+  const RulePlanes planes = compile_planes(data.window());
   util::ThreadPool& tp = pool ? *pool : util::ThreadPool::shared();
   tp.parallel_for(0, data.count(), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i)
-      out[i] = forecast(data.pattern(i), how).as_optional();
+    for_each_vote_set(rules_, planes, data.lag_major().rows, begin, end,
+                      [&](std::size_t i, const std::vector<Vote>& votes) {
+                        out[i] = predict(votes, how).as_optional();
+                      });
   });
   return out;
 }
@@ -184,27 +231,14 @@ double RuleSystem::coverage_percent(const WindowDataset& data, util::ThreadPool*
   EVOFORECAST_COUNT("coverage.scans", 1);
   EVOFORECAST_COUNT("coverage.windows_tested", data.count());
   std::atomic<std::size_t> covered{0};
+  const RulePlanes planes = compile_planes(data.window());
   util::ThreadPool& tp = pool ? *pool : util::ThreadPool::shared();
-
-  // Batched scan: the dataset already carries the quantized mirrors, so
-  // build the rule planes once and mark per-window hits chunk by chunk —
-  // one pass over the windows for the whole rule set. Coverage only needs
-  // "any rule matched", so the per-rule index lists collapse to a bitmap.
-  const LagMajorView view = data.lag_major();
-  std::vector<std::span<const Interval>> genes(rules_.size());
-  for (std::size_t r = 0; r < rules_.size(); ++r) {
-    if (rules_[r].window() == data.window()) genes[r] = rules_[r].genes();
-  }
-  const RulePlanes planes = build_rule_planes(genes, data.window(), view.qmin, view.qinv);
   tp.parallel_for(0, data.count(), [&](std::size_t begin, std::size_t end) {
-    std::vector<std::vector<std::size_t>> matched(rules_.size());
-    matchkern::rule_major_match(view, planes, begin, end, matched);
-    std::vector<std::uint8_t> hit(end - begin, 0);
-    for (const auto& m : matched) {
-      for (const std::size_t i : m) hit[i - begin] = 1;
-    }
     std::size_t local = 0;
-    for (const std::uint8_t h : hit) local += h;
+    for_each_vote_set(rules_, planes, data.lag_major().rows, begin, end,
+                      [&](std::size_t, const std::vector<Vote>& votes) {
+                        local += votes.empty() ? 0 : 1;
+                      });
     covered.fetch_add(local, std::memory_order_relaxed);
   });
   return 100.0 * static_cast<double>(covered.load()) / static_cast<double>(data.count());

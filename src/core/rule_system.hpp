@@ -21,6 +21,7 @@
 #include "core/aggregation.hpp"
 #include "core/config.hpp"
 #include "core/dataset.hpp"
+#include "core/match_backend.hpp"
 #include "core/prediction.hpp"
 #include "core/rule.hpp"
 #include "core/telemetry.hpp"
@@ -46,14 +47,29 @@ class RuleSystem {
   /// Forecast for one window (paper §3.4: matching rules vote with their
   /// hyperplane outputs; kMean is the paper's aggregation, others are
   /// Ablation D). The returned Prediction carries the value, the vote count
-  /// and the abstention flag in one place.
+  /// and the abstention flag in one place. This is the plain rule-by-rule
+  /// scan — the reference every compiled path below is tested against.
   [[nodiscard]] Prediction forecast(std::span<const double> window,
                                     Aggregation how = Aggregation::kMean) const;
 
+  /// Compile the rule-major match planes for windows of length `window`:
+  /// every rule's genes quantized through one byte map spanning the rule
+  /// set's bounded gene values. Rules of another length become inactive
+  /// lanes. Compile once per model and reuse for every single-window
+  /// forecast below; the batch, dataset and coverage entries compile their
+  /// own per call.
+  [[nodiscard]] RulePlanes compile_planes(std::size_t window) const;
+
+  /// Single-window forecast over planes compiled from this system by
+  /// compile_planes — the serving path. Equals forecast(window, how) exactly;
+  /// a window whose length differs from planes.window takes that reference
+  /// scan.
+  [[nodiscard]] Prediction forecast(const RulePlanes& planes, std::span<const double> window,
+                                    Aggregation how = Aggregation::kMean) const;
+
   /// Batched forecasts for `flat_windows.size() / window` row-major packed
-  /// windows. Matching runs the rule-major kernel training uses (one pass
-  /// over the batch for the whole rule set), parallel over windows via
-  /// `pool` (nullptr = shared pool). Element i equals
+  /// windows through the compiled planes, parallel over windows via `pool`
+  /// (nullptr = shared pool). Element i equals
   /// forecast(flat_windows.subspan(i*window, window), how) exactly,
   /// including abstention positions and vote counts. Throws
   /// std::invalid_argument when window == 0 or flat_windows.size() is not a
@@ -66,8 +82,9 @@ class RuleSystem {
   /// Number of rules matching a window (0 = abstention).
   [[nodiscard]] std::size_t vote_count(std::span<const double> window) const;
 
-  /// Forecast every pattern of a dataset; abstentions are nullopt. Parallel
-  /// over patterns via `pool` (nullptr = shared pool).
+  /// Forecast every pattern of a dataset through the compiled planes;
+  /// abstentions are nullopt. Parallel over patterns via `pool` (nullptr =
+  /// shared pool).
   [[nodiscard]] series::PartialForecast forecast_dataset(
       const WindowDataset& data, util::ThreadPool* pool = nullptr) const;
 
@@ -75,7 +92,8 @@ class RuleSystem {
   [[nodiscard]] series::PartialForecast forecast_dataset(
       const WindowDataset& data, Aggregation how, util::ThreadPool* pool = nullptr) const;
 
-  /// Percentage of the dataset's patterns matched by at least one rule.
+  /// Percentage of the dataset's patterns matched by at least one rule
+  /// (compiled planes, like forecast_dataset).
   [[nodiscard]] double coverage_percent(const WindowDataset& data,
                                         util::ThreadPool* pool = nullptr) const;
 

@@ -86,7 +86,6 @@
 #include "core/prediction.hpp"    // IWYU pragma: export
 #include "core/regression.hpp"    // IWYU pragma: export
 #include "core/rule.hpp"          // IWYU pragma: export
-#include "core/rule_index.hpp"    // IWYU pragma: export
 #include "core/rule_system.hpp"   // IWYU pragma: export
 #include "core/selection.hpp"     // IWYU pragma: export
 #include "core/telemetry.hpp"     // IWYU pragma: export

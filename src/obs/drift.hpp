@@ -4,8 +4,8 @@
 // one of these; a sustained upward shift in the error level — the model's
 // rules no longer describing the series (concept drift, regime change,
 // sensor fault) — raises a drift signal that serving surfaces as a
-// `drift.detected` event and a labelled gauge, and that ROADMAP item 5's
-// background-evolution loop will consume as its retrain trigger.
+// `drift.detected` event and a labelled gauge — the natural retrain trigger
+// for a background-evolution loop, should one be built.
 //
 // Page–Hinkley in its standard one-sided (increase-detecting) form: track
 // the cumulative deviation of samples from their running mean,

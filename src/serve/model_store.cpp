@@ -10,30 +10,6 @@
 namespace ef::serve {
 namespace {
 
-/// Value range spanned by the rule set's non-wildcard genes — the bucket
-/// extent of the query index. nullopt when no gene bounds exist (all
-/// wildcard or empty system).
-std::optional<std::pair<double, double>> gene_value_range(const core::RuleSystem& system) {
-  bool seen = false;
-  double lo = 0.0;
-  double hi = 0.0;
-  for (const core::Rule& rule : system.rules()) {
-    for (const core::Interval& gene : rule.genes()) {
-      if (gene.is_wildcard()) continue;
-      if (!seen) {
-        lo = gene.lo();
-        hi = gene.hi();
-        seen = true;
-      } else {
-        lo = std::min(lo, gene.lo());
-        hi = std::max(hi, gene.hi());
-      }
-    }
-  }
-  if (!seen || !(hi > lo)) return std::nullopt;
-  return std::make_pair(lo, hi);
-}
-
 core::RuleSystem load_file(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("ModelStore: cannot open '" + path + "'");
@@ -58,18 +34,13 @@ std::shared_ptr<const LoadedModel> LoadedModel::make(core::RuleSystem system,
   model->version_ = version;
   model->tag_ = tag;
   model->window_ = model->system_.empty() ? 0 : model->system_.rules().front().window();
-  // The index holds a reference to system_, so it is built only once the
-  // system has reached its final address inside the shared_ptr.
-  if (const auto range = gene_value_range(model->system_)) {
-    model->index_.emplace(model->system_, range->first, range->second);
-  }
+  model->planes_ = model->system_.compile_planes(model->window_);
   return model;
 }
 
 core::Prediction LoadedModel::forecast(std::span<const double> window,
                                        core::Aggregation how) const {
-  if (index_) return index_->forecast(window, how);
-  return system_.forecast(window, how);
+  return system_.forecast(planes_, window, how);
 }
 
 ModelStore::~ModelStore() { stop_polling(); }

@@ -37,17 +37,17 @@
 #include <thread>
 #include <vector>
 
+#include "core/match_backend.hpp"
 #include "core/prediction.hpp"
-#include "core/rule_index.hpp"
 #include "core/rule_system.hpp"
 #include "fleet/container.hpp"
 
 namespace ef::serve {
 
-/// One immutable, serving-ready model version: the rule system plus a
-/// pre-built query index and the metadata the service needs to validate and
-/// cache requests. Never mutated after construction — hot-reload replaces
-/// the whole object.
+/// One immutable, serving-ready model version: the rule system plus its
+/// match planes, compiled once here, and the metadata the service needs to
+/// validate and cache requests. Never mutated after construction —
+/// hot-reload replaces the whole object.
 class LoadedModel {
  public:
   /// Build a serving-ready snapshot. `tag` must be process-unique (the
@@ -59,9 +59,6 @@ class LoadedModel {
                                                                std::uint64_t tag);
 
   [[nodiscard]] const core::RuleSystem& system() const noexcept { return system_; }
-  /// Query index over the rule set; absent when the system is empty or its
-  /// genes give no finite value range to bucket.
-  [[nodiscard]] const std::optional<core::RuleIndex>& index() const noexcept { return index_; }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   /// Per-name reload generation (1 = first load).
   [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
@@ -70,8 +67,9 @@ class LoadedModel {
   /// Window length D every rule expects (0 when the system is empty).
   [[nodiscard]] std::size_t window() const noexcept { return window_; }
 
-  /// One forecast through the index when available, full scan otherwise.
-  /// Value, vote count and abstention arrive together — nothing to re-derive.
+  /// One forecast through the compiled planes (RuleSystem::forecast over
+  /// them: identical to the reference scan). Value, vote count and
+  /// abstention arrive together — nothing to re-derive.
   [[nodiscard]] core::Prediction forecast(
       std::span<const double> window,
       core::Aggregation how = core::Aggregation::kMean) const;
@@ -80,7 +78,7 @@ class LoadedModel {
   LoadedModel() = default;
 
   core::RuleSystem system_;
-  std::optional<core::RuleIndex> index_;  // references system_; built after it settles
+  core::RulePlanes planes_;  ///< system_.compile_planes(window_)
   std::string name_;
   std::uint64_t version_ = 0;
   std::uint64_t tag_ = 0;

@@ -337,4 +337,21 @@ TEST(MatchBackends, RuleMajorKernelNanSemantics) {
   }
 }
 
+TEST(MatchBackends, QuantizeValueMapsNanProductsToByteZero) {
+  // A NaN product — ±inf under the degenerate qinv == 0 map, v == qmin
+  // under qinv == inf, or a NaN value — is byte 0, never an undefined NaN
+  // float-to-integer conversion; the map stays monotone.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double v : {inf, -inf, nan, 1.0, -1e300, 1e300}) {
+    EXPECT_EQ(ef::core::quantize_value(v, 1.0, 0.0), 0) << v;
+  }
+  EXPECT_EQ(ef::core::quantize_value(1.0, 1.0, inf), 0);
+  EXPECT_EQ(ef::core::quantize_value(2.0, 1.0, inf), 255);
+  EXPECT_EQ(ef::core::quantize_value(0.0, 1.0, inf), 0);
+  EXPECT_EQ(ef::core::quantize_value(inf, 0.0, 255.0), 255);
+  EXPECT_EQ(ef::core::quantize_value(-inf, 0.0, 255.0), 0);
+  EXPECT_EQ(ef::core::quantize_value(nan, 0.0, 255.0), 0);
+}
+
 }  // namespace

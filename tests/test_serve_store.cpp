@@ -215,9 +215,8 @@ TEST(ModelStore, ConcurrentReadersDuringReloads) {
   std::filesystem::remove(path);
 }
 
-TEST(LoadedModelFactory, EmptySystemHasNoIndex) {
+TEST(LoadedModelFactory, EmptySystemAbstains) {
   const auto model = LoadedModel::make(RuleSystem{}, "empty", 1, 1);
-  EXPECT_FALSE(model->index().has_value());
   EXPECT_EQ(model->window(), 0u);
   const auto p = model->forecast(std::vector<double>{0.1});
   EXPECT_TRUE(p.abstained);
