@@ -13,6 +13,7 @@
 #include "core/match_engine.hpp"
 #include "core/rule_system.hpp"
 #include "series/venice.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -102,6 +103,24 @@ void BM_RegressionFit(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
 }
 BENCHMARK(BM_RegressionFit)->Arg(100)->Arg(1000)->Arg(9000)->Unit(benchmark::kMicrosecond);
+
+/// What the trainer fits: a rule's scattered match set, not a prefix. Keeps
+/// a seeded ~29% of the first range(0) windows (evobench's
+/// core.match.hit_ratio on train_paper), so the fit gathers its rows.
+void BM_RegressionFitGathered(benchmark::State& state) {
+  const auto& data = venice_dataset(10000);
+  ef::util::Rng rng(29);
+  std::vector<std::size_t> rows;
+  for (std::size_t w = 0; w < static_cast<std::size_t>(state.range(0)); ++w) {
+    if (rng.bernoulli(0.29)) rows.push_back(w);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ef::core::fit_hyperplane(data, rows));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(rows.size()));
+}
+BENCHMARK(BM_RegressionFitGathered)->Arg(2000)->Arg(10000)->Unit(benchmark::kMicrosecond);
 
 /// Shared trained system for the query benchmarks (multi-execution union →
 /// a realistic several-hundred-rule set).

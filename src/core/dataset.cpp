@@ -25,13 +25,10 @@ WindowDataset::WindowDataset(const series::TimeSeries& s, std::size_t window,
   count_ = s.size() - reach;
 
   patterns_.resize(count_ * window_);
-  lag_major_.resize(count_ * window_);
   targets_.resize(count_);
   for (std::size_t i = 0; i < count_; ++i) {
     for (std::size_t j = 0; j < window_; ++j) {
-      const double v = values_[i + j * stride_];
-      patterns_[i * window_ + j] = v;
-      lag_major_[j * count_ + i] = v;
+      patterns_[i * window_ + j] = values_[i + j * stride_];
     }
     targets_[i] = values_[i + reach];
   }
@@ -47,8 +44,11 @@ WindowDataset::WindowDataset(const series::TimeSeries& s, std::size_t window,
   // its survivors are re-verified in double precision.
   qinv_ = value_max_ > value_min_ ? 255.0 / (value_max_ - value_min_) : 0.0;
   lag_major_q_.resize(count_ * window_);
-  for (std::size_t k = 0; k < lag_major_.size(); ++k) {
-    lag_major_q_[k] = quantize_value(lag_major_[k], value_min_, qinv_);
+  for (std::size_t i = 0; i < count_; ++i) {
+    for (std::size_t j = 0; j < window_; ++j) {
+      lag_major_q_[j * count_ + i] =
+          quantize_value(patterns_[i * window_ + j], value_min_, qinv_);
+    }
   }
   // Row-major quantized mirror for the rule-major batched kernel, which
   // streams one window's bytes against the byte planes of the whole rule set.

@@ -6,10 +6,10 @@
 // consecutive values (s = 1); the stride generalisation matches the delay
 // embedding used by the Mackey-Glass comparators it quotes (RAN/MRAN take
 // s(t), s(t−6), s(t−12), s(t−18) to predict s(t+τ)). Patterns are
-// materialised twice, both built once at construction: row-contiguously
-// (pattern(i) spans for regression residuals and per-window forecasting)
-// and lag-major (lag_major(): one contiguous column per lag, the layout the
-// vectorized match kernels and the SoA normal-equation accumulation scan).
+// materialised once, row-contiguously (pattern(i) spans for the regression
+// kernel, residuals and per-window forecasting), and mirrored as quantized
+// bytes, both lag-major and row-major, for the match kernels (lag_major());
+// everything is built once at construction.
 #pragma once
 
 #include <cstddef>
@@ -44,14 +44,13 @@ class WindowDataset {
     return {patterns_.data() + i * window_, window_};
   }
 
-  /// Transposed (lag-major) view of every pattern: column j is the value of
-  /// lag j across all windows, contiguous. This is the layout the SoA match
-  /// backends and the regression accumulator consume. The view also carries
-  /// the row-major mirror and the quantized byte columns the prefilter
-  /// kernel uses (built once here, at construction).
+  /// The match kernels' view of every pattern: the row-major doubles plus
+  /// the quantized byte mirrors — lag-major columns (column j is lag j
+  /// across all windows, contiguous) for the prefilter kernel and row-major
+  /// rows for the rule-major kernel (built once here, at construction).
   [[nodiscard]] LagMajorView lag_major() const noexcept {
-    return LagMajorView{lag_major_.data(), count_,      window_, patterns_.data(),
-                        lag_major_q_.data(), value_min_, qinv_,   patterns_q_.data()};
+    return LagMajorView{count_, window_, patterns_.data(), lag_major_q_.data(),
+                        value_min_, qinv_, patterns_q_.data()};
   }
 
   /// Target v_i = x_{i+(D-1)·s+τ}.
@@ -75,9 +74,8 @@ class WindowDataset {
 
  private:
   std::vector<double> values_;
-  std::vector<double> patterns_;   ///< row-major m×D packed windows
-  std::vector<double> lag_major_;  ///< transposed D×m copy (one column per lag)
-  std::vector<std::uint8_t> lag_major_q_;  ///< quantized mirror of lag_major_
+  std::vector<double> patterns_;  ///< row-major m×D packed windows
+  std::vector<std::uint8_t> lag_major_q_;  ///< quantized D×m transpose of patterns_
   std::vector<std::uint8_t> patterns_q_;   ///< quantized mirror of patterns_ (row-major)
   std::vector<double> targets_;
   std::size_t window_ = 0;

@@ -65,15 +65,14 @@ enum class MatchBackend {
 /// efstat can see what training ran.
 [[nodiscard]] MatchBackend resolve_match_backend(MatchBackend configured);
 
-/// Lag-major (transposed) view of packed windows: column j holds the value
-/// of lag j for every window, contiguously. Built once by WindowDataset at
-/// construction, together with the mirrors below; RuleSystem's forecast and
-/// coverage entries build a rows + qrows view per block of windows for the
-/// rule-major kernel.
+/// The match kernels' view of packed windows: the row-major doubles plus
+/// quantized byte mirrors, lag-major (column j holds lag j of every window,
+/// contiguously) and row-major. Built once by WindowDataset at construction;
+/// RuleSystem's forecast and coverage entries build a rows + qrows view per
+/// block of windows for the rule-major kernel.
 struct LagMajorView {
-  const double* data = nullptr;  ///< window columns of `count` doubles each
-  std::size_t count = 0;         ///< windows (rows of the logical matrix)
-  std::size_t window = 0;        ///< lags (columns)
+  std::size_t count = 0;   ///< windows (rows of the logical matrix)
+  std::size_t window = 0;  ///< lags (columns)
 
   /// Row-major mirror of the same windows (count × window,
   /// window-contiguous per row). The prefilter and rule-major kernels verify
@@ -81,7 +80,7 @@ struct LagMajorView {
   const double* rows = nullptr;
 
   /// Quantized lag-major mirror: byte = clamp(⌊(v − qmin)·qinv⌋, 0, 255),
-  /// same column layout as `data`. The mapping is monotone, so a gene
+  /// one column of `count` bytes per lag. The mapping is monotone, so a gene
   /// interval relaxed to byte bounds the same way yields a candidate
   /// superset — exact double verification then restores bit-identical match
   /// sets. Required by the prefilter kernel.
@@ -94,9 +93,6 @@ struct LagMajorView {
   /// against the planes of 16/32 rules at a time.
   const std::uint8_t* qrows = nullptr;
 
-  [[nodiscard]] const double* col(std::size_t j) const noexcept {
-    return data + j * count;
-  }
   [[nodiscard]] const std::uint8_t* qcol(std::size_t j) const noexcept {
     return qdata + j * count;
   }

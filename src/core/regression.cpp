@@ -1,7 +1,10 @@
 #include "core/regression.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "obs/macros.hpp"
 #include "obs/timeline.hpp"
@@ -56,9 +59,10 @@ namespace {
 /// Shared core: rows are provided through an accessor returning
 /// (pattern span, target) so both public overloads use the same path, and
 /// the XᵀX / Xᵀy accumulation is supplied by the caller so the
-/// WindowDataset overload can scan lag-major columns instead of rows.
-/// Any accumulate implementation must add terms into each accumulator in
-/// ascending row order — that keeps every layout bit-identical.
+/// WindowDataset overload can run the packed SIMD kernel instead of the
+/// row-wise reference. Any accumulate implementation must add terms into
+/// each accumulator in row order, starting from zero — that keeps every
+/// kernel bit-identical.
 template <typename RowAt, typename Accumulate>
 LinearFit fit_impl(std::size_t row_count, std::size_t dim, RowAt&& row_at,
                    Accumulate&& accumulate, const RegressionOptions& options) {
@@ -140,46 +144,136 @@ auto make_rowwise_accumulate(std::size_t row_count, std::size_t dim, RowAt& row_
   };
 }
 
+// Packed kernel. Each matched row is packed as p = (x_0 … x_{D−1}, 1, y),
+// zero-padded to a multiple of the vector width, and one rank-1 update
+// A[i][j] += p_i · p_j (i ≤ D, j ≥ i) then yields the XᵀX upper triangle
+// (j < D), its ones column (j = D: x_i·1.0 is exact, and Σ 1.0 is the row
+// count) and Xᵀy (j = D+1: 1.0·y is exact). Every entry still adds one
+// product per row in `rows` order, a multiply followed by an add, so the
+// result is bit-identical to the row-wise reference. No target below enables
+// FMA, so nothing contracts the multiply into the add.
+
+/// Rows packed per block: bounds the scratch to 256 rows however many a rule
+/// matches.
+constexpr std::size_t kPackBlock = 256;
+
+typedef double Lanes2 __attribute__((vector_size(2 * sizeof(double))));
+typedef double Lanes4 __attribute__((vector_size(4 * sizeof(double))));
+
+/// Add the products of R consecutive packed rows to the accumulator rows
+/// 0…dim. Each accumulator vector is loaded and stored once per R rows; the
+/// columns left of the diagonal and the padding also accumulate, unread.
+template <typename V, std::size_t R>
+[[gnu::always_inline]] inline void rank_update(const double* rows, std::size_t stride,
+                                               std::size_t dim, double* acc) {
+  constexpr std::size_t kWidth = sizeof(V) / sizeof(double);
+  for (std::size_t i = 0; i <= dim; ++i) {
+    double xi[R];
+    for (std::size_t k = 0; k < R; ++k) xi[k] = rows[k * stride + i];
+    double* a = acc + i * stride;
+    for (std::size_t c = i / kWidth * kWidth; c < stride; c += kWidth) {
+      V v;
+      std::memcpy(&v, a + c, sizeof v);
+      for (std::size_t k = 0; k < R; ++k) {
+        V x;
+        std::memcpy(&x, rows + k * stride + c, sizeof x);
+        v = v + xi[k] * x;
+      }
+      std::memcpy(a + c, &v, sizeof v);
+    }
+  }
+}
+
+/// One packed block: four rows per accumulator pass, then the remainder.
+template <typename V>
+[[gnu::always_inline]] inline void rank_update_block(const double* rows, std::size_t count,
+                                                     std::size_t stride, std::size_t dim,
+                                                     double* acc) {
+  std::size_t r = 0;
+  for (; r + 4 <= count; r += 4) rank_update<V, 4>(rows + r * stride, stride, dim, acc);
+  for (; r < count; ++r) rank_update<V, 1>(rows + r * stride, stride, dim, acc);
+}
+
+/// Two lanes: SSE2 on x86-64, the compiler's generic vectors elsewhere.
+void rank_update_2(const double* rows, std::size_t count, std::size_t stride, std::size_t dim,
+                   double* acc) {
+  rank_update_block<Lanes2>(rows, count, stride, dim, acc);
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+/// Four lanes (AVX2; requires cpu_supports_avx2()).
+__attribute__((target("avx2"))) void rank_update_4(const double* rows, std::size_t count,
+                                                   std::size_t stride, std::size_t dim,
+                                                   double* acc) {
+  rank_update_block<Lanes4>(rows, count, stride, dim, acc);
+}
+#endif
+
+/// The dataset overload's bounds check on a caller-supplied row index.
+std::size_t checked_row(const WindowDataset& data, std::size_t w) {
+  if (w >= data.count()) {
+    throw std::out_of_range("fit_hyperplane: row " + std::to_string(w) + " out of range for " +
+                            std::to_string(data.count()) + " windows");
+  }
+  return w;
+}
+
+/// Per-thread packing scratch, grown on demand and reused by every later fit.
+struct PackScratch {
+  std::vector<double> rows;  ///< kPackBlock packed rows of `stride` doubles
+  std::vector<double> acc;   ///< dim+1 accumulator rows of `stride` doubles
+};
+
+/// Accumulate XᵀX (upper triangle and ones column) and Xᵀy over `rows` of
+/// `data` with the packed kernel. Throws std::out_of_range on a row index
+/// past the dataset.
+void packed_accumulate(const WindowDataset& data, std::span<const std::size_t> rows,
+                       std::vector<double>& xtx, std::vector<double>& xty, std::size_t n) {
+  auto* update = rank_update_2;
+  std::size_t width = 2;
+#if defined(__x86_64__) || defined(__i386__)
+  if (cpu_supports_avx2()) {
+    update = rank_update_4;
+    width = 4;
+  }
+#endif
+  const std::size_t dim = data.window();
+  const std::size_t stride = (dim + 2 + width - 1) / width * width;
+  thread_local PackScratch scratch;
+  scratch.rows.resize(kPackBlock * stride);
+  scratch.acc.assign(n * stride, 0.0);
+  for (std::size_t b = 0; b < rows.size(); b += kPackBlock) {
+    const std::size_t count = std::min(kPackBlock, rows.size() - b);
+    for (std::size_t k = 0; k < count; ++k) {
+      const std::size_t w = checked_row(data, rows[b + k]);
+      double* p = scratch.rows.data() + k * stride;
+      const std::span<const double> x = data.pattern(w);
+      std::copy(x.begin(), x.end(), p);
+      p[dim] = 1.0;
+      p[dim + 1] = data.target(w);
+      std::fill(p + dim + 2, p + stride, 0.0);
+    }
+    update(scratch.rows.data(), count, stride, dim, scratch.acc.data());
+  }
+  const double* acc = scratch.acc.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i; j < n; ++j) xtx[i * n + j] = acc[i * stride + j];
+    xty[i] = acc[i * stride + dim + 1];
+  }
+}
+
 }  // namespace
 
 LinearFit fit_hyperplane(const WindowDataset& data, std::span<const std::size_t> rows,
                          const RegressionOptions& options) {
   const auto row_at = [&](std::size_t r) {
-    return std::pair<std::span<const double>, double>{data.pattern(rows[r]),
-                                                      data.target(rows[r])};
+    const std::size_t w = checked_row(data, rows[r]);
+    return std::pair<std::span<const double>, double>{data.pattern(w), data.target(w)};
   };
-  // Lag-major accumulation: loop nest interchanged so each (i, j) entry scans
-  // two contiguous columns with a gathered row index. Terms still enter every
-  // accumulator in ascending row order — the per-entry operation sequence is
-  // exactly the row-outer reference's, so the results are bit-identical.
-  const LagMajorView cols = data.lag_major();
-  const std::span<const double> targets = data.targets();
-  const std::size_t dim = data.window();
   const auto accumulate = [&](std::vector<double>& xtx, std::vector<double>& xty, std::size_t n) {
-    for (std::size_t i = 0; i < dim; ++i) {
-      const double* ci = cols.col(i);
-      for (std::size_t j = i; j < dim; ++j) {
-        const double* cj = cols.col(j);
-        double acc = 0.0;
-        for (const std::size_t w : rows) acc += ci[w] * cj[w];
-        xtx[i * n + j] = acc;
-      }
-      double ones = 0.0;
-      double xy = 0.0;
-      for (const std::size_t w : rows) {
-        ones += ci[w];
-        xy += ci[w] * targets[w];
-      }
-      xtx[i * n + dim] = ones;  // × ones column
-      xty[i] = xy;
-    }
-    // Σ 1.0 over the matched rows — exact for any realistic row count.
-    xtx[dim * n + dim] = static_cast<double>(rows.size());
-    double ty = 0.0;
-    for (const std::size_t w : rows) ty += targets[w];
-    xty[dim] = ty;
+    packed_accumulate(data, rows, xtx, xty, n);
   };
-  return fit_impl(rows.size(), dim, row_at, accumulate, options);
+  return fit_impl(rows.size(), data.window(), row_at, accumulate, options);
 }
 
 LinearFit fit_hyperplane(const std::vector<std::vector<double>>& x, std::span<const double> y,

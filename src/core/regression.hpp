@@ -41,8 +41,11 @@ struct RegressionOptions {
   bool constant_fallback_when_underdetermined = true;
 };
 
-/// Fit the hyperplane over the subset `rows` of `data`'s patterns.
-/// Throws std::invalid_argument when rows is empty.
+/// Fit the hyperplane over the subset `rows` of `data`'s patterns, in any
+/// order. Bit-identical to the generic overload below over the same rows in
+/// the same order, on every SIMD width. Throws std::invalid_argument when
+/// rows is empty and std::out_of_range when an index is not below
+/// data.count().
 [[nodiscard]] LinearFit fit_hyperplane(const WindowDataset& data,
                                        std::span<const std::size_t> rows,
                                        const RegressionOptions& options = {});

@@ -66,25 +66,44 @@ TEST(Determinism, FullPipelineSerialisationIsByteStable) {
   EXPECT_FALSE(first.empty());
 }
 
+/// Train/test splits the cross-configuration tests run on: Mackey-Glass at
+/// D=4, and a Venice slice at the paper's D=24, where the packed regression
+/// kernel runs its 4-row unroll across several vector-width chunks.
+struct Split {
+  const char* name;
+  WindowDataset train;
+  WindowDataset test;
+};
+
+std::vector<Split> splits() {
+  const auto mg = ef::series::make_paper_mackey_glass();
+  const auto venice = ef::series::make_paper_venice(2000, 500);
+  std::vector<Split> out;
+  out.push_back(
+      {"mackey_glass_d4", WindowDataset(mg.train, 4, 1), WindowDataset(mg.test, 4, 1)});
+  out.push_back({"venice_d24", WindowDataset(venice.train, 24, 1),
+                 WindowDataset(venice.validation, 24, 1)});
+  return out;
+}
+
 TEST(Determinism, IndependentOfThreadPoolSize) {
   // The parallel match engine must not change results with worker count.
-  const auto mg = ef::series::make_paper_mackey_glass();
-  const WindowDataset train(mg.train, 4, 1);
-  const WindowDataset test(mg.test, 4, 1);
-
   ef::util::ThreadPool one(1);
   ef::util::ThreadPool four(4);
 
-  const auto a = ef::core::train(train, {.config = small_config(), .pool = &one});
-  const auto b = ef::core::train(train, {.config = small_config(), .pool = &four});
+  for (const Split& split : splits()) {
+    SCOPED_TRACE(split.name);
+    const auto a = ef::core::train(split.train, {.config = small_config(), .pool = &one});
+    const auto b = ef::core::train(split.train, {.config = small_config(), .pool = &four});
 
-  ASSERT_EQ(a.system.size(), b.system.size());
-  const auto fa = a.system.forecast_dataset(test, &one);
-  const auto fb = b.system.forecast_dataset(test, &four);
-  for (std::size_t i = 0; i < fa.size(); ++i) {
-    ASSERT_EQ(fa[i].has_value(), fb[i].has_value()) << i;
-    if (fa[i]) {
-      ASSERT_DOUBLE_EQ(*fa[i], *fb[i]) << i;
+    ASSERT_EQ(a.system.size(), b.system.size());
+    const auto fa = a.system.forecast_dataset(split.test, &one);
+    const auto fb = b.system.forecast_dataset(split.test, &four);
+    for (std::size_t i = 0; i < fa.size(); ++i) {
+      ASSERT_EQ(fa[i].has_value(), fb[i].has_value()) << i;
+      if (fa[i]) {
+        ASSERT_DOUBLE_EQ(*fa[i], *fb[i]) << i;
+      }
     }
   }
 }
@@ -94,22 +113,22 @@ TEST(Determinism, IndependentOfMatchBackend) {
   // fitness kernels) produces bit-identical match sets to the scalar
   // reference, so the trained system must serialise to identical bytes
   // whichever the config picks.
-  const auto mg = ef::series::make_paper_mackey_glass();
-  const WindowDataset train(mg.train, 4, 1);
-
-  std::vector<std::string> serialised;
-  for (const ef::core::MatchBackend backend :
-       {ef::core::MatchBackend::kScalar, ef::core::MatchBackend::kAuto}) {
-    auto cfg = small_config();
-    cfg.evolution.match_backend = backend;
-    const auto result = ef::core::train(train, {.config = cfg});
-    std::ostringstream buffer;
-    result.system.save(buffer);
-    serialised.push_back(buffer.str());
+  for (const Split& split : splits()) {
+    SCOPED_TRACE(split.name);
+    std::vector<std::string> serialised;
+    for (const ef::core::MatchBackend backend :
+         {ef::core::MatchBackend::kScalar, ef::core::MatchBackend::kAuto}) {
+      auto cfg = small_config();
+      cfg.evolution.match_backend = backend;
+      const auto result = ef::core::train(split.train, {.config = cfg});
+      std::ostringstream buffer;
+      result.system.save(buffer);
+      serialised.push_back(buffer.str());
+    }
+    ASSERT_EQ(serialised.size(), 2u);
+    EXPECT_FALSE(serialised[0].empty());
+    EXPECT_EQ(serialised[0], serialised[1]);
   }
-  ASSERT_EQ(serialised.size(), 2u);
-  EXPECT_FALSE(serialised[0].empty());
-  EXPECT_EQ(serialised[0], serialised[1]);
 }
 
 TEST(Determinism, IslandTrainingBatchedPathMatchesScalar) {

@@ -1,12 +1,17 @@
 // Tests for core/regression.hpp: exact recovery of linear data, residual
-// properties, degenerate fallbacks, SPD solver correctness.
+// properties, degenerate fallbacks, SPD solver correctness, and bit-identity
+// of the dataset overload's packed kernel with the row-wise reference.
 #include "core/regression.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "series/timeseries.hpp"
@@ -165,32 +170,84 @@ TEST(FitHyperplane, MaxResidualIsMaxNotMean) {
   EXPECT_GT(fit.max_abs_residual, 6.0);  // ~ outlier minus small LS shift
 }
 
+/// The generic overload's fit over the same rows of `data`, in the same order.
+LinearFit generic_fit(const WindowDataset& data, const std::vector<std::size_t>& rows) {
+  std::vector<std::vector<double>> x;
+  std::vector<double> y;
+  for (const std::size_t r : rows) {
+    const auto p = data.pattern(r);
+    x.emplace_back(p.begin(), p.end());
+    y.push_back(data.target(r));
+  }
+  return fit_hyperplane(x, y);
+}
+
+void expect_bitwise_equal(const LinearFit& a, const LinearFit& b) {
+  ASSERT_EQ(a.coeffs.size(), b.coeffs.size());
+  for (std::size_t c = 0; c < a.coeffs.size(); ++c) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.coeffs[c]),
+              std::bit_cast<std::uint64_t>(b.coeffs[c]))
+        << "coeff " << c << ": " << a.coeffs[c] << " vs " << b.coeffs[c];
+  }
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.max_abs_residual),
+            std::bit_cast<std::uint64_t>(b.max_abs_residual));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.mean_prediction),
+            std::bit_cast<std::uint64_t>(b.mean_prediction));
+  EXPECT_EQ(a.degenerate, b.degenerate);
+}
+
 TEST(FitHyperplane, DatasetOverloadMatchesGenericOverload) {
-  // Same data through WindowDataset and through explicit rows.
+  // The dataset overload's packed SIMD kernel must reproduce the generic
+  // overload's row-wise reference bit for bit: every D across the vector
+  // widths, every row count mod 4 (the unroll depth) and both sides of the
+  // 256-row packing block, over sorted, random and unsorted row subsets.
   ef::util::Rng rng(4);
+  for (const std::size_t dim : {1, 2, 3, 4, 5, 7, 8, 24, 25, 33}) {
+    std::vector<double> series_values;
+    for (std::size_t i = 0; i < 900 + dim; ++i) series_values.push_back(rng.uniform(0, 1));
+    const TimeSeries s(series_values);
+    const WindowDataset data(s, dim, 2);
+
+    std::vector<std::size_t> all(data.count());
+    std::iota(all.begin(), all.end(), 0);
+    std::vector<std::vector<std::size_t>> subsets{all};
+    for (const std::size_t count : {dim + 2, dim + 3, dim + 4, dim + 5, std::size_t{255},
+                                    std::size_t{256}, std::size_t{257}, std::size_t{513}}) {
+      std::vector<std::size_t> rows = all;
+      std::shuffle(rows.begin(), rows.end(), rng);
+      rows.resize(count);
+      subsets.push_back(rows);  // unsorted
+      std::sort(rows.begin(), rows.end());
+      subsets.push_back(rows);
+    }
+    std::vector<std::size_t> hits;
+    for (const std::size_t r : all) {
+      if (rng.bernoulli(0.3)) hits.push_back(r);
+    }
+    subsets.push_back(hits);
+
+    for (const auto& rows : subsets) {
+      SCOPED_TRACE("dim " + std::to_string(dim) + ", " + std::to_string(rows.size()) +
+                   " rows");
+      expect_bitwise_equal(fit_hyperplane(data, rows), generic_fit(data, rows));
+    }
+  }
+}
+
+TEST(FitHyperplane, DatasetOverloadRejectsOutOfRangeRow) {
+  ef::util::Rng rng(6);
   std::vector<double> series_values;
-  for (int i = 0; i < 200; ++i) series_values.push_back(rng.uniform(0, 1));
+  for (int i = 0; i < 100; ++i) series_values.push_back(rng.uniform(0, 1));
   const TimeSeries s(series_values);
-  const WindowDataset data(s, 4, 2);
+  const WindowDataset data(s, 3, 1);
 
   std::vector<std::size_t> rows(data.count());
   std::iota(rows.begin(), rows.end(), 0);
-  const LinearFit from_dataset = fit_hyperplane(data, rows);
-
-  std::vector<std::vector<double>> x;
-  std::vector<double> y;
-  for (std::size_t i = 0; i < data.count(); ++i) {
-    const auto p = data.pattern(i);
-    x.emplace_back(p.begin(), p.end());
-    y.push_back(data.target(i));
-  }
-  const LinearFit generic = fit_hyperplane(x, y);
-
-  ASSERT_EQ(from_dataset.coeffs.size(), generic.coeffs.size());
-  for (std::size_t c = 0; c < generic.coeffs.size(); ++c) {
-    EXPECT_NEAR(from_dataset.coeffs[c], generic.coeffs[c], 1e-10);
-  }
-  EXPECT_NEAR(from_dataset.max_abs_residual, generic.max_abs_residual, 1e-10);
+  rows[40] = data.count();  // one past the last window
+  EXPECT_THROW((void)fit_hyperplane(data, rows), std::out_of_range);
+  // Too few rows to solve: the constant fallback reads the rows too.
+  const std::vector<std::size_t> few{0, data.count() + 7};
+  EXPECT_THROW((void)fit_hyperplane(data, few), std::out_of_range);
 }
 
 // Least-squares property: for the optimal w, residuals are orthogonal to the
