@@ -35,7 +35,7 @@ python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$OUT/manifest.json" 
   || echo "warning: manifest.json failed to validate"
 
 echo "== tests ==" | tee "$OUT/tests.log"
-ctest --test-dir build -j"$(nproc)" 2>&1 | tee -a "$OUT/tests.log"
+ctest --test-dir build -j"$(nproc)" -LE bench 2>&1 | tee -a "$OUT/tests.log"
 
 for bench in build/bench/*; do
   name="$(basename "$bench")"
@@ -43,7 +43,11 @@ for bench in build/bench/*; do
   # bench_micro_core takes google-benchmark flags, not --full. Every other
   # bench also emits its observability run report (docs/OBSERVABILITY.md):
   # the table goes into the log, the JSON next to it for machine analysis.
-  if [[ "$name" == "bench_micro_core" ]]; then
+  # evobench takes its own workload flags; its smoke runs under ctest's
+  # `bench` label (bench/evobench/README.md has the full-scale runs).
+  if [[ "$name" == "evobench" ]]; then
+    ctest --test-dir build -L bench --output-on-failure 2>&1 | tee "$OUT/$name.log"
+  elif [[ "$name" == "bench_micro_core" ]]; then
     "$bench" 2>&1 | tee "$OUT/$name.log"
   else
     "$bench" $FULL_FLAG --report --metrics-json "$OUT/$name.metrics.json" \

@@ -16,10 +16,10 @@
 //                        bit-identity bridge between the two formats.
 //
 // Training modes accept --out fleet.efr2 (pack the trained fleet),
-// --evaluate (rolling-origin corpus scoring: per-series + pooled errors and
-// fleet-wide percentage of prediction), and --bench-json PATH
-// (BENCH_fleet.json: trained-models/sec, container bytes/model, cold-load
-// time, lookup p99 — the numbers scripts/check_fleet_bench.py gates on).
+// and --evaluate (rolling-origin corpus scoring: per-series + pooled errors
+// and fleet-wide percentage of prediction). Container timings (open, find,
+// materialise) are evobench's fleet.container.* layer metrics
+// (bench/evobench/README.md).
 //
 // Embedding/evolution flags mirror the library defaults:
 //   --window D --horizon T --stride S --population P --generations G
@@ -28,8 +28,6 @@
 // --threads N (private pool; default = shared pool), --holdout FRAC /
 // --min-holdout K (corpus split). Observability: --report, --metrics-json.
 #include <algorithm>
-#include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <exception>
@@ -46,7 +44,6 @@
 #include "fleet/container.hpp"
 #include "fleet/corpus.hpp"
 #include "fleet/long_csv.hpp"
-#include "obs/build_info.hpp"
 #include "obs/export.hpp"
 #include "series/synthetic.hpp"
 #include "util/cli.hpp"
@@ -55,24 +52,6 @@
 namespace {
 
 namespace fs = std::filesystem;
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/// Peak resident set size in kB from /proc/self/status (0 when unavailable).
-std::size_t peak_rss_kb() {
-  std::ifstream in("/proc/self/status");
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      return static_cast<std::size_t>(std::strtoull(line.c_str() + 6, nullptr, 10));
-    }
-  }
-  return 0;
-}
-
 /// Deterministic synthetic fleet: a sine / AR(2) / regime-switch rotation
 /// with per-series parameter drift, so the fleet exercises heterogeneous
 /// dynamics rather than 1000 copies of one signal. Ids are zero-padded so
@@ -122,80 +101,10 @@ std::vector<ef::fleet::SeriesRecord> synthetic_fleet(std::size_t count, std::siz
   return fleet;
 }
 
-/// Quantile of a sorted sample vector (nearest-rank).
-double quantile_sorted(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const auto idx = static_cast<std::size_t>(q * static_cast<double>(sorted.size() - 1) + 0.5);
-  return sorted[std::min(idx, sorted.size() - 1)];
-}
-
-struct ContainerStats {
-  std::size_t models = 0;
-  std::size_t bytes = 0;
-  double bytes_per_model = 0.0;
-  double cold_load_us = 0.0;    ///< best-of-3 open()+validate of the file
-  double lookup_p50_ns = 0.0;   ///< find() over the mapped index
-  double lookup_p99_ns = 0.0;
-  double materialize_p99_us = 0.0;  ///< deep-copy one model to a RuleSystem
-};
-
-/// Measure the serving-side numbers on a freshly written container.
-ContainerStats measure_container(const std::string& path) {
-  ContainerStats stats;
-
-  double best = 1e18;
-  for (int rep = 0; rep < 3; ++rep) {
-    const auto t0 = Clock::now();
-    const auto reader = ef::fleet::FleetReader::open(path);
-    best = std::min(best, seconds_since(t0));
-    if (rep == 0) {
-      stats.models = reader.size();
-      stats.bytes = reader.bytes();
-    }
-  }
-  stats.cold_load_us = best * 1e6;
-  if (stats.models > 0) {
-    stats.bytes_per_model =
-        static_cast<double>(stats.bytes) / static_cast<double>(stats.models);
-  }
-
-  const auto reader = ef::fleet::FleetReader::open(path);
-  if (reader.empty()) return stats;
-
-  // Lookup latency over a deterministic shuffle of resident ids (xorshift
-  // walk, no std::random so runs are reproducible bit-for-bit).
-  const std::vector<std::string> ids = reader.ids();
-  const std::size_t samples = std::min<std::size_t>(20000, ids.size() * 50);
-  std::vector<double> lookup_ns;
-  lookup_ns.reserve(samples);
-  std::uint64_t x = 0x9e3779b97f4a7c15ull;
-  for (std::size_t i = 0; i < samples; ++i) {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    const std::string& id = ids[x % ids.size()];
-    const auto t0 = Clock::now();
-    const auto slot = reader.find(id);
-    lookup_ns.push_back(seconds_since(t0) * 1e9);
-    if (!slot) std::abort();  // resident id must always resolve
-  }
-  std::sort(lookup_ns.begin(), lookup_ns.end());
-  stats.lookup_p50_ns = quantile_sorted(lookup_ns, 0.50);
-  stats.lookup_p99_ns = quantile_sorted(lookup_ns, 0.99);
-
-  const std::size_t mat_samples = std::min<std::size_t>(reader.size(), 256);
-  std::vector<double> mat_us;
-  mat_us.reserve(mat_samples);
-  for (std::size_t i = 0; i < mat_samples; ++i) {
-    const std::size_t slot = (i * 2654435761u) % reader.size();
-    const auto t0 = Clock::now();
-    const ef::core::RuleSystem system = reader.materialize_at(slot);
-    mat_us.push_back(seconds_since(t0) * 1e6);
-    if (system.size() != reader.rule_count_at(slot)) std::abort();
-  }
-  std::sort(mat_us.begin(), mat_us.end());
-  stats.materialize_p99_us = quantile_sorted(mat_us, 0.99);
-  return stats;
+/// Mean packed size of one model (0 for an empty container).
+double bytes_per_model(const ef::fleet::FleetReader& reader) {
+  return reader.empty() ? 0.0
+                        : static_cast<double>(reader.bytes()) / static_cast<double>(reader.size());
 }
 
 int run_list(const std::string& path) {
@@ -254,9 +163,9 @@ int run_pack(const std::string& dir, const std::string& out_path) {
     writer.add(file.stem().string(), ef::core::RuleSystem::load(in));
   }
   writer.write_file(out_path);
-  const auto stats = measure_container(out_path);
-  std::printf("packed %zu models (%zu bytes, %.1f bytes/model) -> %s\n", stats.models,
-              stats.bytes, stats.bytes_per_model, out_path.c_str());
+  const auto packed = ef::fleet::FleetReader::open(out_path);
+  std::printf("packed %zu models (%zu bytes, %.1f bytes/model) -> %s\n", packed.size(),
+              packed.bytes(), bytes_per_model(packed), out_path.c_str());
   return 0;
 }
 
@@ -344,86 +253,32 @@ int main(int argc, char** argv) {
 
     // ---- pack ---------------------------------------------------------
     const std::string out_path = cli.get_string("out", "");
-    ContainerStats container;
     if (!out_path.empty()) {
       ef::fleet::FleetWriter writer;
       for (const auto& model : result.models) {
         if (!model.skipped) writer.add(model.id, model.system);
       }
       writer.write_file(out_path);
-      container = measure_container(out_path);
-      std::printf(
-          "container: %s (%zu models, %zu bytes, %.1f bytes/model, "
-          "cold load %.1f us, lookup p99 %.0f ns)\n",
-          out_path.c_str(), container.models, container.bytes,
-          container.bytes_per_model, container.cold_load_us, container.lookup_p99_ns);
+      const auto container = ef::fleet::FleetReader::open(out_path);
+      std::printf("container: %s (%zu models, %zu bytes, %.1f bytes/model)\n",
+                  out_path.c_str(), container.size(), container.bytes(),
+                  bytes_per_model(container));
     }
 
     // ---- evaluate -----------------------------------------------------
-    ef::fleet::CorpusResult corpus;
-    const bool evaluated = cli.get_bool("evaluate");
-    if (evaluated) {
+    if (cli.get_bool("evaluate")) {
       ef::fleet::CorpusOptions corpus_options;
       corpus_options.train = train_options;
       corpus_options.holdout_fraction = cli.get_double("holdout", 0.2);
       corpus_options.min_holdout =
           static_cast<std::size_t>(cli.get_int("min-holdout", 4));
-      corpus = ef::fleet::evaluate_fleet(fleet, corpus_options);
+      const auto corpus = ef::fleet::evaluate_fleet(fleet, corpus_options);
       std::printf(
           "corpus: %zu evaluated, %zu skipped | pooled rmse %.4f mae %.4f | "
           "%% of prediction %.1f (%zu/%zu points) in %.2fs\n",
           corpus.evaluated, corpus.skipped, corpus.pooled_rmse, corpus.pooled_mae,
           corpus.percentage_of_prediction, corpus.covered_points, corpus.total_points,
           corpus.wall_seconds);
-    }
-
-    // ---- bench report -------------------------------------------------
-    const std::string bench_path = cli.get_string("bench-json", "");
-    if (!bench_path.empty()) {
-      std::FILE* f = std::fopen(bench_path.c_str(), "w");
-      if (!f) {
-        std::fprintf(stderr, "eftrain: cannot write %s\n", bench_path.c_str());
-        return 2;
-      }
-      std::fprintf(f, "{\n");
-      std::fprintf(f, "  \"build\": %s,\n", ef::obs::build_info_json().c_str());
-      std::fprintf(f,
-                   "  \"config\": {\"series\": %zu, \"window\": %zu, \"horizon\": %zu, "
-                   "\"stride\": %zu, \"population\": %zu, \"generations\": %zu, "
-                   "\"max_executions\": %zu, \"seed\": %llu},\n",
-                   fleet.size(), train_options.window, train_options.horizon,
-                   train_options.stride, config.evolution.population_size,
-                   config.evolution.generations, config.max_executions,
-                   static_cast<unsigned long long>(config.evolution.seed));
-      std::fprintf(f,
-                   "  \"train\": {\"trained\": %zu, \"skipped\": %zu, \"rules\": %zu, "
-                   "\"wall_seconds\": %.4f, \"models_per_sec\": %.2f},\n",
-                   result.trained, result.skipped, result.total_rules,
-                   result.wall_seconds, models_per_sec);
-      if (!out_path.empty()) {
-        std::fprintf(f,
-                     "  \"container\": {\"models\": %zu, \"bytes\": %zu, "
-                     "\"bytes_per_model\": %.1f, \"cold_load_us\": %.2f, "
-                     "\"lookup_p50_ns\": %.0f, \"lookup_p99_ns\": %.0f, "
-                     "\"materialize_p99_us\": %.2f},\n",
-                     container.models, container.bytes, container.bytes_per_model,
-                     container.cold_load_us, container.lookup_p50_ns,
-                     container.lookup_p99_ns, container.materialize_p99_us);
-      }
-      if (evaluated) {
-        std::fprintf(f,
-                     "  \"corpus\": {\"evaluated\": %zu, \"skipped\": %zu, "
-                     "\"pooled_rmse\": %.6f, \"pooled_mae\": %.6f, "
-                     "\"percentage_of_prediction\": %.2f, \"total_points\": %zu, "
-                     "\"covered_points\": %zu, \"wall_seconds\": %.4f},\n",
-                     corpus.evaluated, corpus.skipped, corpus.pooled_rmse,
-                     corpus.pooled_mae, corpus.percentage_of_prediction,
-                     corpus.total_points, corpus.covered_points, corpus.wall_seconds);
-      }
-      std::fprintf(f, "  \"peak_rss_kb\": %zu\n", peak_rss_kb());
-      std::fprintf(f, "}\n");
-      std::fclose(f);
-      std::printf("bench: wrote %s\n", bench_path.c_str());
     }
 
     if (!cli.get_string("metrics-json", "").empty()) {

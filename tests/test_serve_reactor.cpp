@@ -3,7 +3,8 @@
 // for pipelined in-order responses, observability verbs and HTTP scrapes on
 // pipelined connections, slowloris byte-at-a-time framing, partial writes
 // under a tiny SO_SNDBUF, backpressure against a client that does not read,
-// connection churn during hot-reload, and graceful drain with responses
+// connection churn during hot-reload, 64 pipelined connections against
+// hot-reload with the window cache on, and graceful drain with responses
 // still in flight.
 #include "serve/reactor.hpp"
 
@@ -12,9 +13,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <cstdlib>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/interval.hpp"
@@ -44,12 +48,13 @@ using ef::serve::ForecastService;
 using ef::serve::ModelStore;
 using ef::serve::ServeOptions;
 
-/// A system predicting a damped recurrence on all of [0,2]^2 — every probe
-/// inside the box is covered, so predictions never abstain.
-RuleSystem make_covering_system() {
+/// A one-rule system with the fit `coeffs` (two lags, then the intercept) on
+/// all of [0,2]^2 — every probe inside the box is covered, so predictions
+/// never abstain. The default predicts a damped recurrence.
+RuleSystem make_covering_system(std::vector<double> coeffs = {0.3, 0.6, 0.05}) {
   Rule rule({Interval(0.0, 2.0), Interval(0.0, 2.0)});
   ef::core::PredictingPart part;
-  part.fit.coeffs = {0.3, 0.6, 0.05};
+  part.fit.coeffs = std::move(coeffs);
   part.fit.mean_prediction = 0.5;
   part.fit.max_abs_residual = 0.01;
   part.matches = 5;
@@ -59,6 +64,9 @@ RuleSystem make_covering_system() {
   system.add_rules({rule}, false, -1.0);
   return system;
 }
+
+/// A covering system predicting the constant `value`.
+RuleSystem make_constant_system(double value) { return make_covering_system({0.0, 0.0, value}); }
 
 // --- Connection state machine (no sockets) ---------------------------------
 
@@ -425,6 +433,95 @@ TEST(Reactor, ConnectionChurnDuringHotReloadZeroFailures) {
   EXPECT_EQ(failures.load(), 0u);
   EXPECT_GT(completed.load(), 0u);
   EXPECT_EQ(server.store.get("m")->version(), 21u);
+}
+
+/// The number following `"key":` in a JSON reply line, or nullopt.
+std::optional<double> json_number(const std::string& line, const std::string& key) {
+  const auto at = line.find("\"" + key + "\":");
+  if (at == std::string::npos) return std::nullopt;
+  return std::strtod(line.c_str() + at + key.size() + 3, nullptr);
+}
+
+TEST(Reactor, PipelinedConnectionsAgainstCachedHotReloadServeLiveVersion) {
+  // Default options, so the window cache is on. 64 connections, 16 per
+  // client thread, pipeline bursts over four hot windows while the model
+  // alternates between two constant systems: even versions predict 2.0, odd
+  // ones 1.0. Every reply, cached or not, must carry the value of the
+  // version it reports; a cache key that outlived a reload (one not bound to
+  // LoadedModel::tag()) would answer with the other constant.
+  Server server;
+  server.store.add_system("m", make_constant_system(2.0));  // version 2
+  const auto value_of = [](double version) {
+    return static_cast<long long>(version) % 2 == 0 ? 2.0 : 1.0;
+  };
+  const char* const kWindows[] = {"[0.5,0.5]", "[0.8,1.1]", "[1.2,0.3]", "[1.9,1.4]"};
+
+  constexpr int kThreads = 4;
+  constexpr int kConnectionsPerThread = 16;
+  constexpr int kBurst = 8;
+  std::atomic<bool> stop{false};
+  std::atomic<std::size_t> failures{0};
+  std::atomic<std::size_t> completed{0};
+  std::atomic<std::size_t> cached{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&] {
+      std::vector<std::unique_ptr<LineClient>> connections;
+      for (int c = 0; c < kConnectionsPerThread; ++c) {
+        connections.push_back(std::make_unique<LineClient>(server.reactor->port()));
+        if (!connections.back()->connected()) ++failures;
+      }
+      std::vector<int> next_id(kConnectionsPerThread, 0);
+      while (!stop.load(std::memory_order_relaxed) && failures.load() == 0) {
+        for (int c = 0; c < kConnectionsPerThread; ++c) {
+          std::string burst;
+          for (int i = 0; i < kBurst; ++i) {
+            const int id = next_id[c] + i;
+            burst += std::string(R"({"model":"m","window":)") + kWindows[id % 4] +
+                     R"(,"id":)" + std::to_string(id) + "}\n";
+          }
+          if (!connections[c]->send_all(burst)) ++failures;
+        }
+        for (int c = 0; c < kConnectionsPerThread; ++c) {
+          for (int i = 0; i < kBurst; ++i, ++next_id[c]) {
+            const auto line = connections[c]->read_line();
+            const auto version = line ? json_number(*line, "version") : std::nullopt;
+            const auto value = line ? json_number(*line, "value") : std::nullopt;
+            const bool in_order =
+                line && line->find("\"v\":2,\"id\":" + std::to_string(next_id[c]) + ",") !=
+                            std::string::npos;
+            if (!line || line->find("\"ok\":true") == std::string::npos || !in_order ||
+                !version || !value || *value != value_of(*version)) {
+              ADD_FAILURE() << "connection " << c << " reply " << next_id[c] << ": "
+                            << line.value_or("<none>");
+              ++failures;
+              return;
+            }
+            ++completed;
+            if (line->find("\"cached\":true") != std::string::npos) ++cached;
+          }
+        }
+      }
+    });
+  }
+
+  // Alternate the model while every connection keeps a burst in flight;
+  // start once replies flow, so the reloads land under load on slow hosts.
+  while (completed.load() == 0 && failures.load() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (int swap = 0; swap < 40; ++swap) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    server.store.add_system("m", make_constant_system(swap % 2 == 0 ? 1.0 : 2.0));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  stop = true;
+  for (auto& c : clients) c.join();
+
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_GT(completed.load(), 0u);
+  EXPECT_GT(cached.load(), 0u) << "the hot windows never hit the cache";
+  EXPECT_EQ(server.store.get("m")->version(), 42u);
 }
 
 TEST(Reactor, GracefulDrainAnswersInFlightPipeline) {
