@@ -20,7 +20,7 @@
 
 namespace ef::fuzz {
 
-/// serve/json.hpp: parse → dump → parse must be a fixed point, and every
+/// util/json.hpp: parse → dump → parse must be a fixed point, and every
 /// rejection must carry a reason.
 int json_roundtrip(const std::uint8_t* data, std::size_t size);
 
@@ -36,7 +36,9 @@ int efr_load(const std::uint8_t* data, std::size_t size);
 int efr2_load(const std::uint8_t* data, std::size_t size);
 
 /// serve::parse_request on one JSON-lines request; the error envelope built
-/// from any parse failure must itself be valid protocol JSON.
+/// from any parse failure must itself be valid protocol JSON, and
+/// json::parse must reject the line exactly when parse_request answers
+/// bad_json, with the same reason (one tokenizer, one grammar).
 int protocol_line(const std::uint8_t* data, std::size_t size);
 
 /// series::read_series_csv on hostile CSV bytes: parses or throws

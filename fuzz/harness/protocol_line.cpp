@@ -6,8 +6,8 @@
 #include <string_view>
 
 #include "harness.hpp"
-#include "serve/json.hpp"
 #include "serve/protocol.hpp"
+#include "util/json.hpp"
 
 namespace ef::fuzz {
 namespace {
@@ -26,6 +26,20 @@ int protocol_line(const std::uint8_t* data, std::size_t size) {
   if (!request && error.message.empty()) die("rejection without an error message");
   if (!request && error.code == serve::ErrorCode::kNone) die("rejection without an error code");
 
+  // The request parser and the DOM parser share one tokenizer, so they must
+  // share one grammar: a syntax error for one is the same syntax error for
+  // the other, and nothing else is.
+  std::string dom_error;
+  const bool dom_ok = json::parse(line, dom_error).has_value();
+  const bool bad_json = !request && error.code == serve::ErrorCode::kBadJson;
+  if (dom_ok == bad_json) {
+    die(std::string("json::parse ") + (dom_ok ? "accepts" : "rejects") +
+        " a line parse_request answers with " + error.message);
+  }
+  if (bad_json && error.message != "bad JSON: " + dom_error) {
+    die("syntax errors differ: '" + error.message + "' vs '" + dom_error + "'");
+  }
+
   // Whatever the parse produced, the server answers with protocol JSON. The
   // error envelope quotes the (hostile) error text — and under v2 echoes the
   // hostile id verbatim — so it must survive its own escaping: efstat and
@@ -35,7 +49,7 @@ int protocol_line(const std::uint8_t* data, std::size_t size) {
                                   request->id_json)
               : serve::error_json(error);
   std::string parse_error;
-  if (!serve::json::parse(envelope, parse_error)) {
+  if (!json::parse(envelope, parse_error)) {
     die("error envelope is not valid protocol JSON: " + parse_error + ": " + envelope);
   }
 

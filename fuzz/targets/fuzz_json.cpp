@@ -1,4 +1,4 @@
-// libFuzzer target: serve/json parse → dump → parse round trip.
+// libFuzzer target: util/json parse → dump → parse round trip.
 #include "harness/harness.hpp"
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size) {

@@ -6,7 +6,9 @@ Usage: serve_smoke.py EFSERVE_BINARY MODEL_EFR [EFSTAT_BINARY]
 Starts efserve on an ephemeral port with fast polling and timeline tracing
 armed (--trace-sample 1, --trace-out, a sub-microsecond --slow-request-us
 so every request becomes a slow exemplar), then exercises the JSON-lines
-protocol end to end: ping, cold miss, warm cache hit, explicit abstention,
+protocol end to end: ping, a model name that needs JSON escaping (a quote
+and a raw tab) listed by the models verb and by efstat --json, cold miss,
+warm cache hit, explicit abstention,
 bad requests (connection must survive), protocol v2 (id echo, "v":2
 envelope, structured error objects — with a v1 client on the same server
 still getting byte-plain v1 answers), pipelined bursts over several
@@ -42,6 +44,10 @@ import check_prometheus  # noqa: E402  (sibling module, no package)
 import check_trace_json  # noqa: E402
 
 FAILURES = []
+
+# The demo model is also served under this name: a quote and a raw tab
+# must come back escaped from both the models verb and efstat --json.
+ODD_NAME = 'odd"\tname'
 
 
 def check(name, ok, detail=""):
@@ -132,7 +138,8 @@ def launch_server(efserve, model_path, trace_path, attempts=3):
     """
     for attempt in range(1, attempts + 1):
         proc = subprocess.Popen(
-            [efserve, f"demo={model_path}", "--port", "0", "--poll-ms", "100",
+            [efserve, f"demo={model_path}", f"{ODD_NAME}={model_path}",
+             "--port", "0", "--poll-ms", "100",
              # Timeline tracing armed for the whole run; the tiny slow
              # threshold turns every request into a slow exemplar so the
              # exemplar path is exercised deterministically.
@@ -194,6 +201,8 @@ def main():
               and demo_entry.get("version", 0) >= 1
               and demo_entry.get("rules", 0) >= 1
               and demo_entry.get("window", 0) >= 1, demo_entry)
+        check("models lists the odd-named model",
+              any(m.get("name") == ODD_NAME for m in models.get("models", [])), models)
         # The container section is fleet-mode only (scripts/fleet_smoke.py
         # asserts its schema); a file-backed server must not emit it.
         check("no container section without --container",
@@ -576,6 +585,9 @@ def main():
                       snapshot.get("requests_total", 0) >= 1, snapshot)
                 check("efstat lists demo model",
                       any(m.get("name") == "demo"
+                          for m in snapshot.get("models", [])), snapshot)
+                check("efstat lists the odd-named model",
+                      any(m.get("name") == ODD_NAME
                           for m in snapshot.get("models", [])), snapshot)
                 check("efstat reports quality panel",
                       snapshot.get("quality_armed") is True

@@ -23,6 +23,7 @@
 //   window_cache  sharded LRU over (model tag, horizon, agg, window)
 //   service       validate → cache → match → respond, one blocking call
 //   protocol      JSON-lines protocol encode/decode (v1 + v2 envelope)
+//   verbs         one request line in, one reply line out (no sockets)
 //   reactor       epoll reactor transport (pipelined JSON-lines over TCP)
 #pragma once
 
@@ -32,4 +33,5 @@
 #include "serve/protocol.hpp"      // IWYU pragma: export
 #include "serve/reactor.hpp"       // IWYU pragma: export
 #include "serve/service.hpp"       // IWYU pragma: export
+#include "serve/verbs.hpp"         // IWYU pragma: export
 #include "serve/window_cache.hpp"  // IWYU pragma: export

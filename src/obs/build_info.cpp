@@ -1,8 +1,9 @@
 #include "obs/build_info.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
+
+#include "util/json.hpp"
 
 #ifndef EVOFORECAST_GIT_COMMIT
 #define EVOFORECAST_GIT_COMMIT "unknown"
@@ -55,26 +56,6 @@ BuildInfo capture() {
   return info;
 }
 
-void append_escaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
 }  // namespace
 
 const BuildInfo& build_info() {
@@ -84,27 +65,15 @@ const BuildInfo& build_info() {
 
 std::string build_info_json() {
   const BuildInfo& info = build_info();
-  std::string out = "{\"git_commit\":\"";
-  append_escaped(out, info.git_commit);
-  out += "\",\"compiler\":\"";
-  append_escaped(out, info.compiler);
-  out += "\",\"build_type\":\"";
-  append_escaped(out, info.build_type);
-  out += "\",\"obs_enabled\":";
-  out += info.obs_enabled ? "true" : "false";
-  out += ",\"env\":{";
-  bool first = true;
-  for (const auto& [key, value] : info.env) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    append_escaped(out, key);
-    out += "\":\"";
-    append_escaped(out, value);
-    out += '"';
-  }
-  out += "}}";
-  return out;
+  json::Writer out;
+  out.begin_object();
+  out.key("git_commit").value(info.git_commit);
+  out.key("compiler").value(info.compiler);
+  out.key("build_type").value(info.build_type);
+  out.key("obs_enabled").value(info.obs_enabled);
+  out.key("env").begin_object();
+  for (const auto& [key, value] : info.env) out.key(key).value(value);
+  return out.end_object().end_object().take();
 }
 
 }  // namespace ef::obs

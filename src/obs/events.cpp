@@ -1,63 +1,13 @@
 #include "obs/events.hpp"
 
 #include <chrono>
-#include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
+#include "util/json.hpp"
+
 namespace ef::obs {
 namespace {
-
-void append_escaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-void append_field_value(std::string& out, const EventField& field) {
-  char buf[64];
-  switch (field.kind) {
-    case EventField::Kind::kBool:
-      out += field.b ? "true" : "false";
-      return;
-    case EventField::Kind::kInt:
-      std::snprintf(buf, sizeof buf, "%" PRId64, field.i);
-      out += buf;
-      return;
-    case EventField::Kind::kUint:
-      std::snprintf(buf, sizeof buf, "%" PRIu64, field.u);
-      out += buf;
-      return;
-    case EventField::Kind::kDouble:
-      if (std::isfinite(field.d)) {
-        std::snprintf(buf, sizeof buf, "%.17g", field.d);
-        out += buf;
-      } else {
-        out += "null";  // JSON has no Inf/NaN literals
-      }
-      return;
-    case EventField::Kind::kString:
-      out += '"';
-      append_escaped(out, field.s);
-      out += '"';
-      return;
-  }
-}
 
 std::int64_t wall_clock_ms() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -68,26 +18,19 @@ std::int64_t wall_clock_ms() {
 }  // namespace
 
 std::string Event::to_json() const {
-  std::string out;
-  out.reserve(128);
-  char buf[64];
-  out += "{\"seq\":";
-  std::snprintf(buf, sizeof buf, "%" PRIu64, seq);
-  out += buf;
-  out += ",\"ts_ms\":";
-  std::snprintf(buf, sizeof buf, "%" PRId64, ts_ms);
-  out += buf;
-  out += ",\"kind\":\"";
-  append_escaped(out, kind);
-  out += '"';
+  json::Writer out;
+  out.begin_object().key("seq").value(seq).key("ts_ms").value(ts_ms).key("kind").value(kind);
   for (const auto& field : fields) {
-    out += ",\"";
-    append_escaped(out, field.key);
-    out += "\":";
-    append_field_value(out, field);
+    out.key(field.key);
+    switch (field.kind) {
+      case EventField::Kind::kBool: out.value(field.b); break;
+      case EventField::Kind::kInt: out.value(field.i); break;
+      case EventField::Kind::kUint: out.value(field.u); break;
+      case EventField::Kind::kDouble: out.value(field.d); break;
+      case EventField::Kind::kString: out.value(field.s); break;
+    }
   }
-  out += '}';
-  return out;
+  return out.end_object().take();
 }
 
 EventLog::EventLog(std::size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}

@@ -1,58 +1,15 @@
 #include "obs/export.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
 
 #include "obs/build_info.hpp"
+#include "util/json.hpp"
 
 namespace ef::obs {
 namespace {
-
-void append_escaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-/// JSON has no inf/nan; emit null for them (empty histograms etc.).
-void append_number(std::string& out, double value) {
-  if (!std::isfinite(value)) {
-    out += "null";
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  out += buf;
-}
-
-void append_number(std::string& out, std::uint64_t value) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(value));
-  out += buf;
-}
-
-void append_key(std::string& out, std::string_view name) {
-  out += '"';
-  append_escaped(out, name);
-  out += "\":";
-}
 
 /// One CSV row; names are metric identifiers (no commas/quotes expected,
 /// but quote defensively if present).
@@ -97,91 +54,51 @@ RunReport capture_run_report() {
 }
 
 std::string to_json(const RunReport& report) {
-  std::string out;
-  out.reserve(4096);
-  out += "{\n  \"build\": ";
-  out += build_info_json();
-  out += ",\n  \"counters\": {";
-  for (std::size_t i = 0; i < report.metrics.counters.size(); ++i) {
-    const auto& c = report.metrics.counters[i];
-    out += i == 0 ? "\n    " : ",\n    ";
-    append_key(out, c.name);
-    out += ' ';
-    append_number(out, c.value);
-  }
-  out += "\n  },\n  \"gauges\": {";
-  for (std::size_t i = 0; i < report.metrics.gauges.size(); ++i) {
-    const auto& g = report.metrics.gauges[i];
-    out += i == 0 ? "\n    " : ",\n    ";
-    append_key(out, g.name);
-    out += ' ';
-    append_number(out, g.value);
-  }
-  out += "\n  },\n  \"histograms\": {";
-  for (std::size_t i = 0; i < report.metrics.histograms.size(); ++i) {
-    const auto& h = report.metrics.histograms[i];
-    out += i == 0 ? "\n    " : ",\n    ";
-    append_key(out, h.name);
-    out += " {";
-    append_key(out, "count");
-    out += ' ';
-    append_number(out, h.stats.count);
+  json::Writer out;
+  out.begin_object().key("build").raw(build_info_json());
+  out.key("counters").begin_object();
+  for (const auto& c : report.metrics.counters) out.key(c.name).value(c.value);
+  out.end_object();
+  out.key("gauges").begin_object();
+  for (const auto& g : report.metrics.gauges) out.key(g.name).value(g.value);
+  out.end_object();
+  out.key("histograms").begin_object();
+  for (const auto& h : report.metrics.histograms) {
+    out.key(h.name).begin_object().key("count").value(h.stats.count);
     const std::pair<const char*, double> fields[] = {
         {"sum", h.stats.sum}, {"mean", h.stats.mean}, {"stddev", h.stats.stddev},
         {"min", h.stats.min}, {"max", h.stats.max},   {"p50", h.stats.p50},
         {"p90", h.stats.p90}, {"p99", h.stats.p99}};
-    for (const auto& [key, value] : fields) {
-      out += ", ";
-      append_key(out, key);
-      out += ' ';
-      append_number(out, value);
-    }
-    out += ", ";
-    append_key(out, "buckets");
-    out += " [";
+    for (const auto& [key, value] : fields) out.key(key).value(value);
+    out.key("buckets").begin_array();
     for (std::size_t b = 0; b < h.stats.buckets.size(); ++b) {
-      if (b != 0) out += ", ";
-      out += "{";
-      append_key(out, "le");
-      out += ' ';
+      out.begin_object().key("le");
       if (b < h.stats.bounds.size()) {
-        append_number(out, h.stats.bounds[b]);
+        out.value(h.stats.bounds[b]);
       } else {
-        out += "\"inf\"";
+        out.value("inf");
       }
-      out += ", ";
-      append_key(out, "count");
-      out += ' ';
-      append_number(out, h.stats.buckets[b]);
-      out += "}";
+      out.key("count").value(h.stats.buckets[b]).end_object();
     }
-    out += "]}";
+    out.end_array().end_object();
   }
-  out += "\n  },\n  \"spans\": {";
-  for (std::size_t i = 0; i < report.spans.size(); ++i) {
-    const auto& s = report.spans[i];
-    out += i == 0 ? "\n    " : ",\n    ";
-    append_key(out, s.name);
-    out += " {";
-    append_key(out, "calls");
-    out += ' ';
-    append_number(out, s.stats.calls);
+  out.end_object();
+  out.key("spans").begin_object();
+  for (const auto& s : report.spans) {
+    out.key(s.name).begin_object().key("calls").value(s.stats.calls);
     const std::pair<const char*, double> fields[] = {
         {"total_ms", s.stats.total_ns * 1e-6},
         {"self_ms", s.stats.self_ns * 1e-6},
         {"mean_us", s.stats.mean_ns() * 1e-3},
         {"min_us", s.stats.min_ns * 1e-3},
         {"max_us", s.stats.max_ns * 1e-3}};
-    for (const auto& [key, value] : fields) {
-      out += ", ";
-      append_key(out, key);
-      out += ' ';
-      append_number(out, value);
-    }
-    out += "}";
+    for (const auto& [key, value] : fields) out.key(key).value(value);
+    out.end_object();
   }
-  out += "\n  }\n}\n";
-  return out;
+  out.end_object().end_object();
+  std::string text = out.take();
+  text.push_back('\n');
+  return text;
 }
 
 std::string to_csv(const RunReport& report) {

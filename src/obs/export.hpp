@@ -30,8 +30,8 @@ struct RunReport {
 /// Snapshot the metrics registry and the span aggregates.
 [[nodiscard]] RunReport capture_run_report();
 
-/// Serialise as a single JSON object (UTF-8, no trailing newline guarantees
-/// beyond one '\n' at the end). Non-finite doubles become null.
+/// Serialise as one compact JSON object followed by '\n', written with
+/// util/json.hpp's Writer (non-finite doubles become null).
 [[nodiscard]] std::string to_json(const RunReport& report);
 
 /// Serialise as `kind,name,field,value` CSV rows (header included).

@@ -1,41 +1,13 @@
 #include "obs/timeline_export.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "util/json.hpp"
+
 namespace ef::obs {
-namespace {
-
-std::string format_double(double v) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", v);
-  return buffer;
-}
-
-/// Minimal escape for span names/arg keys (string literals in practice, but
-/// the format must stay valid whatever they contain).
-std::string escape(const char* text) {
-  std::string out;
-  for (const char* p = text; p && *p; ++p) {
-    const char c = *p;
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buffer[8];
-      std::snprintf(buffer, sizeof(buffer), "\\u%04x", static_cast<unsigned>(c));
-      out += buffer;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string to_chrome_trace_json(const TimelineSnapshot& snapshot) {
   // Slow exemplars are kept even when their head-sample draw said no.
@@ -76,16 +48,13 @@ std::string to_chrome_trace_json(const TimelineSnapshot& snapshot) {
   for (const auto& [trace_id, end] : slow_end) markers.emplace_back(end, trace_id);
   std::sort(markers.begin(), markers.end());
 
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
+  json::Writer out;
+  out.begin_object().key("displayTimeUnit").value("ms").key("traceEvents").begin_array();
   auto emit_marker = [&](std::int64_t end, std::uint64_t trace_id) {
-    if (!first) out += ",";
-    first = false;
-    out += "{\"name\":\"serve.slow_request\",\"ph\":\"i\",\"s\":\"g\"";
-    out += ",\"ts\":" + std::to_string(end);
-    out += ",\"pid\":1,\"tid\":0";
-    out += ",\"args\":{\"trace_id\":" + std::to_string(trace_id);
-    out += ",\"slow_us\":" + format_double(slow[trace_id]) + "}}";
+    out.begin_object().key("name").value("serve.slow_request").key("ph").value("i");
+    out.key("s").value("g").key("ts").value(end).key("pid").value(1).key("tid").value(0);
+    out.key("args").begin_object().key("trace_id").value(trace_id);
+    out.key("slow_us").value(slow[trace_id]).end_object().end_object();
   };
   std::size_t next_marker = 0;
   for (const TimelineSpan* span : kept) {
@@ -94,33 +63,24 @@ std::string to_chrome_trace_json(const TimelineSnapshot& snapshot) {
       emit_marker(markers[next_marker].first, markers[next_marker].second);
       ++next_marker;
     }
-    if (!first) out += ",";
-    first = false;
     const std::uint64_t parent =
         span->parent_id != 0 && span_ids.count(span->parent_id) == 0 ? 0
                                                                      : span->parent_id;
-    out += "{\"name\":\"" + escape(span->name) + "\",\"ph\":\"X\"";
-    out += ",\"ts\":" + std::to_string(span->t_start_us);
-    out += ",\"dur\":" + std::to_string(span->dur_us);
-    out += ",\"pid\":1,\"tid\":" + std::to_string(span->thread_index);
-    out += ",\"args\":{\"trace_id\":" + std::to_string(span->trace_id);
-    out += ",\"span_id\":" + std::to_string(span->span_id);
-    out += ",\"parent_id\":" + std::to_string(parent);
-    if (span->arg_key) {
-      out += ",\"" + escape(span->arg_key) + "\":" + format_double(span->arg_value);
-    }
+    out.begin_object().key("name").value(span->name).key("ph").value("X");
+    out.key("ts").value(span->t_start_us).key("dur").value(span->dur_us);
+    out.key("pid").value(1).key("tid").value(span->thread_index);
+    out.key("args").begin_object().key("trace_id").value(span->trace_id);
+    out.key("span_id").value(span->span_id).key("parent_id").value(parent);
+    if (span->arg_key) out.key(span->arg_key).value(span->arg_value);
     const auto it = slow.find(span->trace_id);
-    if (it != slow.end()) {
-      out += ",\"slow_us\":" + format_double(it->second);
-    }
-    out += "}}";
+    if (it != slow.end()) out.key("slow_us").value(it->second);
+    out.end_object().end_object();
   }
   while (next_marker < markers.size()) {
     emit_marker(markers[next_marker].first, markers[next_marker].second);
     ++next_marker;
   }
-  out += "]}";
-  return out;
+  return out.end_array().end_object().take();
 }
 
 std::string chrome_trace_json() { return to_chrome_trace_json(Timeline::snapshot()); }

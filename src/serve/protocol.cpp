@@ -1,23 +1,47 @@
 #include "serve/protocol.hpp"
 
 #include <cmath>
-#include <cstdio>
-
-#include "serve/json.hpp"
 
 namespace ef::serve {
 namespace {
 
-/// Shortest round-trip double formatting (%.17g trims via %g).
-std::string format_double(double v) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", v);
-  return buffer;
-}
+using Type = json::Reader::Type;
 
 /// Ids are echoed verbatim into every response for this request, so keep
 /// them small enough that the echo can never dominate a response line.
 constexpr std::size_t kMaxIdBytes = 256;
+
+/// The field error a request is answered with: of all the fields that fail,
+/// "id"/"v" (the envelope) rank first, then the rest in sorted key order.
+/// Keys are unique (the reader rejects duplicates), so the rank is total.
+struct FieldError {
+  ErrorCode code = ErrorCode::kNone;  ///< kNone: no field failed
+  bool envelope = false;
+  std::string key;
+  std::string message;
+
+  void note(std::string_view field, ErrorCode field_code, std::string field_message) {
+    const bool is_envelope = field == "id" || field == "v";
+    if (code != ErrorCode::kNone && (envelope != is_envelope ? envelope : key < field)) return;
+    envelope = is_envelope;
+    key = field;
+    code = field_code;
+    message = std::move(field_message);
+  }
+};
+
+std::optional<Request::Cmd> parse_cmd(std::string_view name) {
+  using Cmd = Request::Cmd;
+  static constexpr std::pair<std::string_view, Cmd> kCmds[] = {
+      {"predict", Cmd::kPredict}, {"ping", Cmd::kPing},       {"models", Cmd::kModels},
+      {"stats", Cmd::kStats},     {"metrics", Cmd::kMetrics}, {"events", Cmd::kEvents},
+      {"trace", Cmd::kTrace},     {"observe", Cmd::kObserve}, {"quality", Cmd::kQuality},
+  };
+  for (const auto& [text, cmd] : kCmds) {
+    if (name == text) return cmd;
+  }
+  return std::nullopt;
+}
 
 }  // namespace
 
@@ -39,130 +63,138 @@ std::optional<Request> parse_request(std::string_view line, ProtocolError& error
     return std::nullopt;
   };
 
-  std::string parse_error;
-  const std::optional<json::Value> root = json::parse(line, parse_error);
-  if (!root) return fail(ErrorCode::kBadJson, "bad JSON: " + parse_error);
-  const json::Object* object = root->as_object();
-  if (!object) return fail(ErrorCode::kBadRequest, "request must be a JSON object");
-
-  // Envelope fields first, so a failure in any later field can still echo
-  // the id and answer in the version the client asked for.
+  // Read every field to the end of the line, remembering only the error
+  // that ranks first: a syntax error anywhere still wins.
+  json::Reader in(line);
   Request request;
+  FieldError field_error;
   bool saw_id = false;
-  for (const auto& [key, value] : *object) {
-    if (key == "v") {
-      const double* num = value.as_number();
-      if (!num || (*num != 1.0 && *num != 2.0)) {
-        return fail(ErrorCode::kBadRequest, "\"v\" must be 1 or 2");
-      }
-      request.version = static_cast<int>(*num);
-    } else if (key == "id") {
-      if (const std::string* text = value.as_string()) {
-        if (text->size() > kMaxIdBytes) {
-          return fail(ErrorCode::kBadRequest, "\"id\" exceeds 256 bytes");
-        }
-        // Built by append (not operator+ chaining): GCC 12's -Wrestrict
-        // false-positives on "literal" + std::string&& under -Werror.
-        request.id_json.clear();
-        request.id_json += '"';
-        request.id_json += json_escape(*text);
-        request.id_json += '"';
-      } else if (const double* num = value.as_number()) {
-        request.id_json = format_double(*num);
-      } else {
-        return fail(ErrorCode::kBadRequest, "\"id\" must be a string or a number");
-      }
-      saw_id = true;
-    }
-  }
-  // An id implies the v2 envelope regardless of key order — {"id":7,"v":1}
-  // must not let the later "v" key silently drop the echoed id.
-  if (saw_id) request.version = 2;
-  error.version = request.version;
-  error.id_json = request.id_json;
-
   bool saw_value = false;
-  for (const auto& [key, value] : *object) {
-    if (key == "v" || key == "id") {
-      continue;  // envelope fields, handled above
-    } else if (key == "cmd") {
-      const std::string* text = value.as_string();
-      if (!text) return fail(ErrorCode::kBadRequest, "\"cmd\" must be a string");
-      if (*text == "predict") {
-        request.cmd = Request::Cmd::kPredict;
-      } else if (*text == "ping") {
-        request.cmd = Request::Cmd::kPing;
-      } else if (*text == "models") {
-        request.cmd = Request::Cmd::kModels;
-      } else if (*text == "stats") {
-        request.cmd = Request::Cmd::kStats;
-      } else if (*text == "metrics") {
-        request.cmd = Request::Cmd::kMetrics;
-      } else if (*text == "events") {
-        request.cmd = Request::Cmd::kEvents;
-      } else if (*text == "trace") {
-        request.cmd = Request::Cmd::kTrace;
-      } else if (*text == "observe") {
-        request.cmd = Request::Cmd::kObserve;
-      } else if (*text == "quality") {
-        request.cmd = Request::Cmd::kQuality;
-      } else {
-        return fail(ErrorCode::kUnknownCmd, "unknown cmd '" + *text + "'");
-      }
-    } else if (key == "model") {
-      const std::string* text = value.as_string();
-      if (!text) return fail(ErrorCode::kBadRequest, "\"model\" must be a string");
-      request.predict.model = *text;
-      request.has_model = true;
-    } else if (key == "value") {
-      const double* num = value.as_number();
-      if (!num || !std::isfinite(*num)) {
-        return fail(ErrorCode::kBadRequest, "\"value\" must be a finite number");
-      }
-      request.observe.value = *num;
-      saw_value = true;
-    } else if (key == "t") {
-      const double* num = value.as_number();
-      if (!num || *num < 0.0 || *num != std::floor(*num) || *num > 1.0e15) {
-        return fail(ErrorCode::kBadRequest, "\"t\" must be a non-negative integer");
-      }
-      request.observe.t = static_cast<std::uint64_t>(*num);
-    } else if (key == "window") {
-      const json::Array* array = value.as_array();
-      if (!array) {
-        return fail(ErrorCode::kBadRequest, "\"window\" must be an array of numbers");
-      }
-      request.predict.window.clear();
-      request.predict.window.reserve(array->size());
-      for (const json::Value& item : *array) {
-        const double* num = item.as_number();
-        if (!num) {
-          return fail(ErrorCode::kBadRequest, "\"window\" must contain only numbers");
-        }
-        request.predict.window.push_back(*num);
-      }
-    } else if (key == "horizon") {
-      const double* num = value.as_number();
-      if (!num || *num < 1.0 || *num != std::floor(*num) || *num > 1.0e9) {
-        return fail(ErrorCode::kBadRequest, "\"horizon\" must be a positive integer");
-      }
-      request.predict.horizon = static_cast<std::size_t>(*num);
-    } else if (key == "agg") {
-      const std::string* text = value.as_string();
-      const auto agg = text ? parse_aggregation(*text) : std::nullopt;
-      if (!agg) {
-        return fail(ErrorCode::kBadRequest,
-                    "\"agg\" must be one of mean|fitness_weighted|median|best_rule|inverse_error");
-      }
-      request.predict.agg = *agg;
-    } else if (key == "cache") {
-      const bool* flag = value.as_bool();
-      if (!flag) return fail(ErrorCode::kBadRequest, "\"cache\" must be a boolean");
-      request.predict.use_cache = *flag;
-    } else {
-      return fail(ErrorCode::kUnknownField, "unknown field \"" + key + "\"");
+  try {
+    const Type top = in.value();
+    if (top != Type::kObject) {
+      in.skip(top);
+      in.finish();
+      return fail(ErrorCode::kBadRequest, "request must be a JSON object");
     }
+    std::string key;
+    while (in.next_key()) {
+      key.assign(in.text());
+      const Type v = in.value();
+      // A value of the wrong type: note the error, read past the value.
+      const auto reject = [&](ErrorCode code, std::string message) {
+        field_error.note(key, code, std::move(message));
+        in.skip(v);
+      };
+      const double num = in.number();  // meaningful when v is kNumber
+      if (key == "v") {
+        if (v == Type::kNumber && (num == 1.0 || num == 2.0)) {
+          request.version = static_cast<int>(num);
+        } else {
+          reject(ErrorCode::kBadRequest, "\"v\" must be 1 or 2");
+        }
+      } else if (key == "id") {
+        if (v == Type::kString && in.text().size() > kMaxIdBytes) {
+          reject(ErrorCode::kBadRequest, "\"id\" exceeds 256 bytes");
+        } else if (v == Type::kString || v == Type::kNumber) {
+          json::Writer id;
+          request.id_json = (v == Type::kString ? id.value(in.text()) : id.value(num)).take();
+          saw_id = true;
+        } else {
+          reject(ErrorCode::kBadRequest, "\"id\" must be a string or a number");
+        }
+      } else if (key == "cmd") {
+        const auto cmd = v == Type::kString ? parse_cmd(in.text()) : std::nullopt;
+        if (cmd) {
+          request.cmd = *cmd;
+        } else if (v == Type::kString) {
+          reject(ErrorCode::kUnknownCmd, "unknown cmd '" + std::string(in.text()) + "'");
+        } else {
+          reject(ErrorCode::kBadRequest, "\"cmd\" must be a string");
+        }
+      } else if (key == "model") {
+        if (v == Type::kString) {
+          request.predict.model = in.text();
+          request.has_model = true;
+        } else {
+          reject(ErrorCode::kBadRequest, "\"model\" must be a string");
+        }
+      } else if (key == "value") {
+        if (v == Type::kNumber) {  // the reader admits only finite numbers
+          request.observe.value = num;
+          saw_value = true;
+        } else {
+          reject(ErrorCode::kBadRequest, "\"value\" must be a finite number");
+        }
+      } else if (key == "t") {
+        if (v == Type::kNumber && num >= 0.0 && num == std::floor(num) && num <= 1.0e15) {
+          request.observe.t = static_cast<std::uint64_t>(num);
+        } else {
+          reject(ErrorCode::kBadRequest, "\"t\" must be a non-negative integer");
+        }
+      } else if (key == "window") {
+        if (v != Type::kArray) {
+          reject(ErrorCode::kBadRequest, "\"window\" must be an array of numbers");
+          continue;
+        }
+        std::vector<double>& window = request.predict.window;
+        window.clear();
+        bool numbers_only = true;
+        while (in.next_element()) {
+          const Type item = in.value();
+          if (item == Type::kNumber) {
+            window.push_back(in.number());
+          } else {
+            numbers_only = false;
+            in.skip(item);
+          }
+        }
+        if (!numbers_only) {
+          field_error.note(key, ErrorCode::kBadRequest,
+                           "\"window\" must contain only numbers");
+        }
+      } else if (key == "horizon") {
+        if (v == Type::kNumber && num >= 1.0 && num == std::floor(num) && num <= 1.0e9) {
+          request.predict.horizon = static_cast<std::size_t>(num);
+        } else {
+          reject(ErrorCode::kBadRequest, "\"horizon\" must be a positive integer");
+        }
+      } else if (key == "agg") {
+        const auto agg = v == Type::kString ? parse_aggregation(in.text()) : std::nullopt;
+        if (agg) {
+          request.predict.agg = *agg;
+        } else {
+          reject(ErrorCode::kBadRequest, "\"agg\" must be one of mean|fitness_weighted|"
+                                         "median|best_rule|inverse_error");
+        }
+      } else if (key == "cache") {
+        if (v == Type::kTrue || v == Type::kFalse) {
+          request.predict.use_cache = v == Type::kTrue;
+        } else {
+          reject(ErrorCode::kBadRequest, "\"cache\" must be a boolean");
+        }
+      } else {
+        reject(ErrorCode::kUnknownField, "unknown field \"" + key + "\"");
+      }
+    }
+    in.finish();
+  } catch (const json::Error& e) {
+    return fail(ErrorCode::kBadJson, std::string("bad JSON: ") + e.what());
   }
+
+  // An id implies the v2 envelope regardless of key order — {"id":7,"v":1}
+  // must not let the "v" key silently drop the echoed id.
+  if (saw_id) request.version = 2;
+  // A bad id or version leaves the reply in the default v1 envelope; any
+  // other error echoes it, even an id that came after the bad field.
+  if (!field_error.envelope) {
+    error.version = request.version;
+    error.id_json = request.id_json;
+  }
+  if (field_error.code != ErrorCode::kNone) {
+    return fail(field_error.code, std::move(field_error.message));
+  }
+
   // Cross-field validation: observe's payload fields belong to observe only,
   // and an observe without a realized value is meaningless.
   if (request.cmd == Request::Cmd::kObserve) {
@@ -176,76 +208,58 @@ std::optional<Request> parse_request(std::string_view line, ProtocolError& error
 
 std::string json_escape(std::string_view text) {
   std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", static_cast<unsigned>(c));
-          out += buffer;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
+  json::append_escaped(out, text);
   return out;
 }
 
-std::string envelope_json(int version, std::string_view id_json) {
-  if (version < 2) return {};
-  std::string out = ",\"v\":2";
-  if (!id_json.empty()) {
-    out += ",\"id\":";
-    out += id_json;
+json::Writer reply(bool ok, int version, std::string_view id_json) {
+  json::Writer out;
+  out.begin_object().key("ok").value(ok);
+  if (version >= 2) {
+    out.key("v").value(2);
+    if (!id_json.empty()) out.key("id").raw(id_json);
   }
   return out;
 }
 
 std::string error_json(std::string_view reason) {
-  return "{\"ok\":false,\"error\":\"" + json_escape(reason) + "\"}";
+  return error_json(ErrorCode::kNone, reason);
 }
 
 std::string error_json(ErrorCode code, std::string_view reason, int version,
                        std::string_view id_json) {
-  if (version < 2) return error_json(reason);
-  std::string out = "{\"ok\":false";
-  out += envelope_json(version, id_json);
-  out += ",\"error\":{\"code\":\"";
-  out += to_string(code);
-  out += "\",\"message\":\"" + json_escape(reason) + "\"}}";
-  return out;
+  json::Writer out = reply(false, version, id_json);
+  out.key("error");
+  if (version < 2) {
+    out.value(reason);  // v1 keeps the bare-string shape
+  } else {
+    out.begin_object().key("code").value(to_string(code)).key("message").value(reason);
+    out.end_object();
+  }
+  return out.end_object().take();
 }
 
 std::string to_json(const PredictResponse& response, const Request& request) {
   if (!response.ok) {
     return error_json(response.code, response.error, request.version, request.id_json);
   }
-  std::string out = "{\"ok\":true";
-  out += envelope_json(request.version, request.id_json);
-  out += ",\"model\":\"" + json_escape(response.model) + "\"";
-  out += ",\"version\":" + std::to_string(response.version);
-  out += ",\"horizon\":" + std::to_string(response.horizon);
-  out += ",\"abstain\":";
-  out += response.abstain ? "true" : "false";
+  json::Writer out = reply(true, request);
+  out.key("model").value(response.model);
+  out.key("version").value(response.version);
+  out.key("horizon").value(response.horizon);
+  out.key("abstain").value(response.abstain);
   if (!response.abstain) {
-    out += ",\"value\":" + format_double(response.value);
+    out.key("value").value(response.value);
     // v2 only — v1 responses stay byte-identical to the pre-interval wire.
     if (request.version >= 2 && response.bound >= 0.0) {
-      out += ",\"interval\":[" + format_double(response.value - response.bound) + "," +
-             format_double(response.value + response.bound) + "]";
+      out.key("interval").begin_array();
+      out.value(response.value - response.bound).value(response.value + response.bound);
+      out.end_array();
     }
   }
-  out += ",\"votes\":" + std::to_string(response.votes);
-  out += ",\"cached\":";
-  out += response.cached ? "true" : "false";
-  out += "}";
-  return out;
+  out.key("votes").value(response.votes);
+  out.key("cached").value(response.cached);
+  return out.end_object().take();
 }
 
 std::string to_json(const PredictResponse& response) {

@@ -2,10 +2,15 @@
 //
 // One request per line, one response per line, many requests in flight per
 // connection (the reactor answers strictly in request order). Requests are
-// flat JSON objects; the parser below handles exactly the JSON subset the
-// protocol needs (objects, arrays of numbers, strings, numbers, booleans)
-// and rejects everything else loudly — a malformed line yields an ok=false
-// response, never a crash or a silent default.
+// flat JSON objects, read field by field with the pull tokenizer of
+// util/json.hpp (no intermediate DOM); replies are built with its Writer.
+// Anything malformed is rejected loudly — an ok=false response, never a
+// crash or a silent default.
+//
+// Error precedence is part of the contract: the whole line is read first,
+// so a syntax error anywhere beats a field error; among field errors "id"
+// and "v" come first, then the rest in sorted key order; and the id is
+// echoed even when it comes after the bad field.
 //
 // Request fields (see docs/API.md for the full verb/field matrix):
 //   "cmd"     : "predict" (default) | "ping" | "models" | "stats" |
@@ -40,6 +45,9 @@
 //              "error":{"code":"unknown_model","message":"reason"}}
 // Abstention: same envelope with "abstain":true and no "value" field —
 //   abstentions are explicit, per the paper's coverage semantics.
+// Numbers are %.17g; a non-finite result (a finite window can still
+// overflow a rule's hyperplane) is written as null, in "value" and in the
+// "interval" ends alike, so every reply is valid JSON.
 #pragma once
 
 #include <cstdint>
@@ -49,6 +57,7 @@
 
 #include "serve/error.hpp"
 #include "serve/service.hpp"
+#include "util/json.hpp"
 
 namespace ef::serve {
 
@@ -99,11 +108,11 @@ struct ProtocolError {
 [[nodiscard]] std::optional<Request> parse_request(std::string_view line,
                                                    ProtocolError& error);
 
-/// The `,"v":2,"id":...` splice for a v2 response ("" for v1). Response
-/// builders insert it right after `{"ok":...`.
-[[nodiscard]] std::string envelope_json(int version, std::string_view id_json);
-[[nodiscard]] inline std::string envelope_json(const Request& request) {
-  return envelope_json(request.version, request.id_json);
+/// Starts a reply object: `{"ok":<ok>`, then for v2 `"v":2` and the echoed
+/// id. Callers add their fields and close the object.
+[[nodiscard]] json::Writer reply(bool ok, int version, std::string_view id_json);
+[[nodiscard]] inline json::Writer reply(bool ok, const Request& request) {
+  return reply(ok, request.version, request.id_json);
 }
 
 /// Serialise a predict response under the request's envelope (one line, no
@@ -123,7 +132,7 @@ struct ProtocolError {
   return error_json(error.code, error.message, error.version, error.id_json);
 }
 
-/// JSON string escaping (quotes, backslashes, control characters).
+/// JSON string escaping by the writer's string rule (json::append_escaped).
 [[nodiscard]] std::string json_escape(std::string_view text);
 
 /// Parse an aggregation name as used by the protocol ("mean", "median", …).

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <mutex>
 #include <stdexcept>
@@ -12,11 +10,9 @@
 #include <unordered_map>
 #include <utility>
 
-#include "obs/events.hpp"
 #include "obs/exposition.hpp"
 #include "obs/macros.hpp"
-#include "obs/timeline.hpp"
-#include "obs/timeline_export.hpp"
+#include "serve/verbs.hpp"
 
 #if defined(__linux__)
 #define EVOFORECAST_HAVE_EPOLL 1
@@ -43,15 +39,6 @@ namespace {
 void* const kListenTag = reinterpret_cast<void*>(0x1);
 void* const kWakeTag = reinterpret_cast<void*>(0x2);
 #endif
-
-/// %.17g double for hand-built JSON; non-finite values become null (JSON
-/// has no NaN/Inf literals).
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
 
 }  // namespace
 
@@ -459,26 +446,11 @@ void Reactor::process_lines(Shard& shard, Connection* conn) {
       conn->http_mode = true;
       continue;
     }
-    handle_request(shard, conn, *line);
+    Shard::bump(shard.requests);
+    std::string reply = handle_line(service_, *line, connections_served());
+    reply.push_back('\n');
+    conn->respond(std::move(reply));
   }
-}
-
-void Reactor::handle_request(Shard& shard, Connection* conn, const std::string& line) {
-  Shard::bump(shard.requests);
-
-  ProtocolError perr;
-  const std::optional<Request> request = parse_request(line, perr);
-  if (!request) {
-    conn->respond(error_json(perr) + "\n");
-    return;
-  }
-  if (request->cmd != Request::Cmd::kPredict) {
-    conn->respond(handle_verb(*request) + "\n");
-    return;
-  }
-  std::string out = to_json(service_.predict(request->predict), *request);
-  out.push_back('\n');
-  conn->respond(std::move(out));
 }
 
 bool Reactor::flush(Shard& shard, Connection* conn) {
@@ -576,180 +548,11 @@ void Reactor::adopt(Shard&, int) {}
 void Reactor::drain_inbox(Shard&) {}
 void Reactor::handle_readable(Shard&, Connection*) {}
 void Reactor::process_lines(Shard&, Connection*) {}
-void Reactor::handle_request(Shard&, Connection*, const std::string&) {}
 bool Reactor::flush(Shard&, Connection*) { return false; }
 void Reactor::close_connection(Shard&, Connection*) {}
 void Reactor::update_interest(Shard&, Connection*) {}
 
 #endif  // EVOFORECAST_HAVE_EPOLL
-
-std::string Reactor::handle_verb(const Request& request) {
-  const std::string env = envelope_json(request);
-  switch (request.cmd) {
-    case Request::Cmd::kPing:
-      return "{\"ok\":true" + env + ",\"pong\":true}";
-    case Request::Cmd::kModels: {
-      std::string out = "{\"ok\":true" + env + ",\"models\":[";
-      bool first = true;
-      for (const std::string& name : service_.store().names()) {
-        const auto model = service_.store().get(name);
-        if (!model) continue;
-        if (!first) out += ",";
-        first = false;
-        out += "{\"name\":\"" + json_escape(name) + "\"";
-        out += ",\"version\":" + std::to_string(model->version());
-        out += ",\"rules\":" + std::to_string(model->system().size());
-        out += ",\"window\":" + std::to_string(model->window()) + "}";
-      }
-      out += "]";
-      // Container-backed series ride in their own section: every id is
-      // predictable by name, versioned by the container generation. The id
-      // list is capped so a million-series fleet answers in one line;
-      // "series_total" carries the true count.
-      if (const auto info = service_.store().container_info()) {
-        constexpr std::size_t kMaxListedSeries = 256;
-        out += ",\"container\":{\"path\":\"" + json_escape(info->path) + "\"";
-        out += ",\"generation\":" + std::to_string(info->generation);
-        out += ",\"bytes\":" + std::to_string(info->bytes);
-        out += ",\"materialized\":" + std::to_string(info->materialized);
-        out += ",\"series_total\":" + std::to_string(info->models);
-        out += ",\"series\":[";
-        bool first_id = true;
-        for (const std::string& id : service_.store().container_ids(kMaxListedSeries)) {
-          if (!first_id) out += ",";
-          first_id = false;
-          out += "\"" + json_escape(id) + "\"";
-        }
-        out += "]}";
-      }
-      out += "}";
-      return out;
-    }
-    case Request::Cmd::kStats: {
-      const auto cache = service_.cache_stats();
-      std::string out = "{\"ok\":true" + env;
-      out += ",\"connections\":" + std::to_string(connections_served());
-      out += ",\"cache_hits\":" + std::to_string(cache.hits);
-      out += ",\"cache_misses\":" + std::to_string(cache.misses);
-      out += ",\"cache_entries\":" + std::to_string(cache.entries);
-      out += ",\"cache_evictions\":" + std::to_string(cache.evictions);
-      out += "}";
-      return out;
-    }
-    case Request::Cmd::kMetrics: {
-      // The exposition text is multi-line; ship it JSON-escaped inside the
-      // one-line envelope so JSON-lines framing survives. HTTP clients get
-      // the raw text via GET /metrics instead.
-      std::string out = "{\"ok\":true" + env + ",\"format\":\"prometheus\",\"exposition\":\"";
-      out += json_escape(obs::prometheus_text());
-      out += "\"}";
-      return out;
-    }
-    case Request::Cmd::kTrace: {
-      // Chrome trace-event document embedded as a JSON value (it is already
-      // valid JSON, depth 3 — well inside the parser's depth limit). Clients
-      // save response["trace"] to a file and open it in Perfetto.
-      char rate[32];
-      std::snprintf(rate, sizeof(rate), "%g", obs::Timeline::sample_rate());
-      std::string out = "{\"ok\":true" + env + ",\"enabled\":";
-      out += obs::Timeline::enabled() ? "true" : "false";
-      out += ",\"sample\":";
-      out += rate;
-      out += ",\"trace\":";
-      out += obs::chrome_trace_json();
-      out += "}";
-      return out;
-    }
-    case Request::Cmd::kEvents: {
-      const auto events = obs::EventLog::global().recent();
-      std::string out = "{\"ok\":true" + env + ",\"dropped\":";
-      out += std::to_string(obs::EventLog::global().dropped());
-      out += ",\"events\":[";
-      for (std::size_t i = 0; i < events.size(); ++i) {
-        if (i != 0) out += ',';
-        out += events[i].to_json();
-      }
-      out += "]}";
-      return out;
-    }
-    case Request::Cmd::kObserve: {
-      QualityTracker* quality = service_.quality();
-      if (quality == nullptr) {
-        return error_json(ErrorCode::kBadRequest, "quality tracking is disabled",
-                          request.version, request.id_json);
-      }
-      // Reject observations for models the store cannot resolve: a typo'd
-      // name must not silently grow its own quality state.
-      if (!service_.store().get(request.predict.model)) {
-        return error_json(ErrorCode::kUnknownModel,
-                          "unknown model '" + request.predict.model + "'",
-                          request.version, request.id_json);
-      }
-      const QualityTracker::ObserveResult r = quality->observe(
-          request.predict.model, request.observe.value, request.observe.t);
-      std::string out = "{\"ok\":true" + env;
-      out += ",\"model\":\"" + json_escape(request.predict.model) + "\"";
-      out += ",\"tick\":" + std::to_string(r.tick);
-      out += ",\"matured\":" + std::to_string(r.matured);
-      out += ",\"overdue\":" + std::to_string(r.overdue);
-      out += ",\"pending\":" + std::to_string(r.pending);
-      out += ",\"stale\":";
-      out += r.stale ? "true" : "false";
-      if (r.drift_detected) out += ",\"drift\":\"detected\"";
-      if (r.drift_cleared) out += ",\"drift\":\"cleared\"";
-      out += "}";
-      return out;
-    }
-    case Request::Cmd::kQuality: {
-      const QualityTracker* quality = service_.quality();
-      std::string out = "{\"ok\":true" + env + ",\"enabled\":";
-      out += quality != nullptr ? "true" : "false";
-      out += ",\"armed\":";
-      out += (quality != nullptr && quality->armed()) ? "true" : "false";
-      out += ",\"models\":[";
-      if (quality != nullptr) {
-        bool first = true;
-        for (const QualityTracker::ModelSnapshot& m : quality->snapshot()) {
-          if (request.has_model && m.model != request.predict.model) continue;
-          if (!first) out += ',';
-          first = false;
-          out += "{\"model\":\"" + json_escape(m.model) + "\"";
-          out += ",\"tick\":" + std::to_string(m.tick);
-          out += ",\"pending\":" + std::to_string(m.pending);
-          out += ",\"observed\":" + std::to_string(m.observed);
-          out += ",\"matured\":" + std::to_string(m.matured);
-          out += ",\"scored\":" + std::to_string(m.scored);
-          out += ",\"overdue\":" + std::to_string(m.overdue);
-          out += ",\"stale\":" + std::to_string(m.stale);
-          out += ",\"evicted\":" + std::to_string(m.evicted);
-          out += ",\"window\":" + std::to_string(m.window_n);
-          // Accuracy stats are null until the window has scored forecasts —
-          // a fresh model reports "unknown", never a fake 0.0.
-          out += ",\"rmse\":" +
-                 (m.window_scored > 0 ? json_number(m.rmse) : std::string("null"));
-          out += ",\"mae\":" +
-                 (m.window_scored > 0 ? json_number(m.mae) : std::string("null"));
-          out += ",\"smape\":" +
-                 (m.window_scored > 0 ? json_number(m.smape) : std::string("null"));
-          out += ",\"coverage\":" +
-                 (m.window_intervals > 0 ? json_number(m.coverage) : std::string("null"));
-          out += ",\"abstain_share\":" + json_number(m.abstain_share);
-          out += ",\"drift\":{\"drifted\":";
-          out += m.drifted ? "true" : "false";
-          out += ",\"detections\":" + std::to_string(m.drift_detections);
-          out += ",\"stat\":" + json_number(m.drift_stat);
-          out += "}}";
-        }
-      }
-      out += "]}";
-      return out;
-    }
-    case Request::Cmd::kPredict:
-      break;
-  }
-  return error_json(ErrorCode::kInternal, "verb dispatched to the wrong handler",
-                    request.version, request.id_json);
-}
 
 std::string Reactor::handle_http(std::string_view method, std::string_view path) {
   const std::string_view bare_path = path.substr(0, path.find('?'));

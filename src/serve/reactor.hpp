@@ -82,10 +82,6 @@ class Reactor {
   void drain_inbox(Shard& shard);
   void handle_readable(Shard& shard, Connection* conn);
   void process_lines(Shard& shard, Connection* conn);
-  void handle_request(Shard& shard, Connection* conn, const std::string& line);
-  /// Response line for the non-predict verbs (ping/models/stats/metrics/
-  /// events/trace/observe/quality), under the request's v1/v2 envelope.
-  [[nodiscard]] std::string handle_verb(const Request& request);
   /// Full HTTP/1.0 response for the GET/HEAD carve-out (Connection: close).
   [[nodiscard]] static std::string handle_http(std::string_view method,
                                                std::string_view path);

@@ -37,8 +37,8 @@
 #include <thread>
 #include <vector>
 
-#include "serve/json.hpp"
 #include "util/cli.hpp"
+#include "util/json.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define EFSTAT_HAVE_SOCKETS 1
@@ -318,6 +318,30 @@ Derived derive(const Sample& cur, const Sample* prev) {
 
 #if EFSTAT_HAVE_SOCKETS
 
+using ef::json::Value;
+
+/// The value as a number / flag / string; 0, false or "" when it is absent
+/// or of another type.
+double number_or(const Value* value) {
+  const double* number = value != nullptr ? value->as_number() : nullptr;
+  return number != nullptr ? *number : 0.0;
+}
+bool flag_or(const Value* value) {
+  const bool* flag = value != nullptr ? value->as_bool() : nullptr;
+  return flag != nullptr && *flag;
+}
+std::string text_or(const Value* value) {
+  const std::string* text = value != nullptr ? value->as_string() : nullptr;
+  return text != nullptr ? *text : std::string();
+}
+/// The array member `key` of a parsed reply (empty when missing).
+const ef::json::Array& array_of(const std::optional<Value>& doc, std::string_view key) {
+  static const ef::json::Array kNone;
+  const Value* member = doc ? doc->find(key) : nullptr;
+  const ef::json::Array* array = member != nullptr ? member->as_array() : nullptr;
+  return array != nullptr ? *array : kNone;
+}
+
 Sample poll(Client& client) {
   Sample out;
   const auto metrics_line = client.request("{\"cmd\":\"metrics\"}");
@@ -326,91 +350,53 @@ Sample poll(Client& client) {
     return out;
   }
   std::string parse_error;
-  const auto metrics_doc = ef::serve::json::parse(*metrics_line, parse_error);
-  const auto* metrics_obj = metrics_doc ? metrics_doc->as_object() : nullptr;
-  if (!metrics_obj) {
+  const auto metrics_doc = ef::json::parse(*metrics_line, parse_error);
+  if (!metrics_doc || !metrics_doc->as_object()) {
     out.error = "bad metrics response: " + parse_error;
     return out;
   }
-  const auto expo_it = metrics_obj->find("exposition");
-  const std::string* expo =
-      expo_it != metrics_obj->end() ? expo_it->second.as_string() : nullptr;
-  if (!expo) {
+  const Value* expo = metrics_doc->find("exposition");
+  if (expo == nullptr || !expo->as_string()) {
     out.error = "metrics response lacks \"exposition\"";
     return out;
   }
-  out.metrics = parse_prometheus(*expo);
+  out.metrics = parse_prometheus(*expo->as_string());
 
-  if (const auto models_line = client.request("{\"cmd\":\"models\"}")) {
-    if (const auto models_doc = ef::serve::json::parse(*models_line, parse_error)) {
-      if (const auto* obj = models_doc->as_object()) {
-        const auto it = obj->find("models");
-        if (it != obj->end()) {
-          if (const auto* array = it->second.as_array()) {
-            for (const auto& item : *array) {
-              const auto* model = item.as_object();
-              if (!model) continue;
-              ModelRow row;
-              for (const auto& [key, value] : *model) {
-                if (key == "name" && value.as_string()) row.name = *value.as_string();
-                if (key == "version" && value.as_number()) row.version = *value.as_number();
-                if (key == "rules" && value.as_number()) row.rules = *value.as_number();
-                if (key == "window" && value.as_number()) row.window = *value.as_number();
-              }
-              out.models.push_back(std::move(row));
-            }
-          }
-        }
-      }
-    }
+  const auto reply = [&client](const char* line) {
+    std::string error;
+    const auto text = client.request(line);
+    return text ? ef::json::parse(*text, error) : std::nullopt;
+  };
+  const auto models = reply("{\"cmd\":\"models\"}");
+  for (const Value& model : array_of(models, "models")) {
+    if (!model.as_object()) continue;
+    out.models.push_back({text_or(model.find("name")), number_or(model.find("version")),
+                          number_or(model.find("rules")), number_or(model.find("window"))});
   }
   // Forecast quality (best-effort: older servers answer unknown_cmd, and a
   // disabled tracker reports enabled:false — both leave the panel empty).
-  if (const auto quality_line = client.request("{\"cmd\":\"quality\"}")) {
-    if (const auto quality_doc = ef::serve::json::parse(*quality_line, parse_error)) {
-      if (const auto* obj = quality_doc->as_object()) {
-        const auto armed_it = obj->find("armed");
-        if (armed_it != obj->end() && armed_it->second.as_bool()) {
-          out.quality_armed = *armed_it->second.as_bool();
-        }
-        const auto it = obj->find("models");
-        const auto* array = it != obj->end() ? it->second.as_array() : nullptr;
-        if (array != nullptr) {
-          for (const auto& item : *array) {
-            const auto* entry = item.as_object();
-            if (!entry) continue;
-            QualityRow row;
-            for (const auto& [key, value] : *entry) {
-              if (key == "model" && value.as_string()) row.model = *value.as_string();
-              if (key == "tick" && value.as_number()) row.tick = *value.as_number();
-              if (key == "pending" && value.as_number()) row.pending = *value.as_number();
-              if (key == "window" && value.as_number()) row.window = *value.as_number();
-              if (key == "rmse" && value.as_number()) {
-                row.rmse = *value.as_number();
-                row.has_rmse = true;
-              }
-              if (key == "mae" && value.as_number()) row.mae = *value.as_number();
-              if (key == "coverage" && value.as_number()) {
-                row.coverage = *value.as_number();
-                row.has_coverage = true;
-              }
-              if (key == "abstain_share" && value.as_number()) {
-                row.abstain_share = *value.as_number();
-              }
-              if (key == "drift" && value.as_object()) {
-                for (const auto& [dk, dv] : *value.as_object()) {
-                  if (dk == "drifted" && dv.as_bool()) row.drifted = *dv.as_bool();
-                  if (dk == "detections" && dv.as_number()) {
-                    row.drift_detections = *dv.as_number();
-                  }
-                }
-              }
-            }
-            out.quality.push_back(std::move(row));
-          }
-        }
-      }
+  const auto quality = reply("{\"cmd\":\"quality\"}");
+  out.quality_armed = flag_or(quality ? quality->find("armed") : nullptr);
+  for (const Value& entry : array_of(quality, "models")) {
+    if (!entry.as_object()) continue;
+    QualityRow row;
+    row.model = text_or(entry.find("model"));
+    row.tick = number_or(entry.find("tick"));
+    row.pending = number_or(entry.find("pending"));
+    row.window = number_or(entry.find("window"));
+    const Value* rmse = entry.find("rmse");
+    const Value* coverage = entry.find("coverage");
+    row.has_rmse = rmse != nullptr && rmse->as_number() != nullptr;
+    row.rmse = number_or(rmse);
+    row.mae = number_or(entry.find("mae"));
+    row.has_coverage = coverage != nullptr && coverage->as_number() != nullptr;
+    row.coverage = number_or(coverage);
+    row.abstain_share = number_or(entry.find("abstain_share"));
+    if (const Value* drift = entry.find("drift")) {
+      row.drifted = flag_or(drift->find("drifted"));
+      row.drift_detections = number_or(drift->find("detections"));
     }
+    out.quality.push_back(std::move(row));
   }
   out.ok = true;
   return out;
@@ -438,66 +424,49 @@ int run_trace_mode(Client& client, std::size_t max_rows) {
     return 1;
   }
   std::string parse_error;
-  const auto doc = ef::serve::json::parse(*line, parse_error);
-  const auto* root = doc ? doc->as_object() : nullptr;
-  if (!root) {
+  const auto doc = ef::json::parse(*line, parse_error);
+  if (!doc || !doc->as_object()) {
     std::fprintf(stderr, "efstat: bad trace response: %s\n", parse_error.c_str());
     return 1;
   }
-  const auto enabled_it = root->find("enabled");
-  const bool* enabled =
-      enabled_it != root->end() ? enabled_it->second.as_bool() : nullptr;
-  const auto sample_it = root->find("sample");
-  const double* rate = sample_it != root->end() ? sample_it->second.as_number() : nullptr;
-  const auto trace_it = root->find("trace");
-  const auto* trace = trace_it != root->end() ? trace_it->second.as_object() : nullptr;
-  const auto events_it = trace ? trace->find("traceEvents") : ef::serve::json::Object::const_iterator{};
-  const auto* events =
-      trace && events_it != trace->end() ? events_it->second.as_array() : nullptr;
-  if (!events) {
+  const Value* trace = doc->find("trace");
+  const Value* events = trace != nullptr ? trace->find("traceEvents") : nullptr;
+  if (events == nullptr || !events->as_array()) {
     std::fprintf(stderr, "efstat: trace response lacks traceEvents\n");
     return 1;
   }
 
   std::map<std::uint64_t, TraceRow> rows;
-  for (const auto& item : *events) {
-    const auto* event = item.as_object();
-    if (!event) continue;
-    const std::string* name = nullptr;
-    const std::string* ph = nullptr;
-    double ts = 0.0;
-    double dur = 0.0;
-    const ef::serve::json::Object* args = nullptr;
-    for (const auto& [key, value] : *event) {
-      if (key == "name") name = value.as_string();
-      if (key == "ph") ph = value.as_string();
-      if (key == "ts" && value.as_number()) ts = *value.as_number();
-      if (key == "dur" && value.as_number()) dur = *value.as_number();
-      if (key == "args") args = value.as_object();
+  for (const Value& event : *events->as_array()) {
+    const Value* name_value = event.find("name");
+    const Value* args = event.find("args");
+    if (name_value == nullptr || !name_value->as_string() || args == nullptr ||
+        !args->as_object()) {
+      continue;
     }
-    if (!name || !args) continue;
-    double trace_id = 0.0;
-    double slow_us = 0.0;
-    for (const auto& [key, value] : *args) {
-      if (key == "trace_id" && value.as_number()) trace_id = *value.as_number();
-      if (key == "slow_us" && value.as_number()) slow_us = *value.as_number();
-    }
+    const std::string& name = *name_value->as_string();
+    const double ts = number_or(event.find("ts"));
+    const double dur = number_or(event.find("dur"));
+    const double trace_id = number_or(args->find("trace_id"));
+    const double slow_us = number_or(args->find("slow_us"));
     if (trace_id <= 0.0) continue;
     TraceRow& row = rows[static_cast<std::uint64_t>(trace_id)];
     row.trace_id = static_cast<std::uint64_t>(trace_id);
     if (slow_us > 0.0) row.slow_us = slow_us;
-    if (!ph || *ph != "X") continue;  // instant markers carry no durations
+    if (text_or(event.find("ph")) != "X") continue;  // instant markers carry no durations
     ++row.spans;
     if (row.spans == 1 || ts < row.ts) row.ts = ts;
-    if (*name == "serve.request") row.total_us += dur;
-    else if (*name == "serve.cache") row.cache_us += dur;
-    else if (*name == "serve.match") row.match_us += dur;
-    else if (*name == "serve.respond") row.respond_us += dur;
+    if (name == "serve.request") row.total_us += dur;
+    else if (name == "serve.cache") row.cache_us += dur;
+    else if (name == "serve.match") row.match_us += dur;
+    else if (name == "serve.respond") row.respond_us += dur;
   }
 
+  const bool enabled = flag_or(doc->find("enabled"));
+  const double rate = number_or(doc->find("sample"));
   std::printf("efstat trace — %zu traced request%s (tracing %s, sample %g)\n",
               rows.size(), rows.size() == 1 ? "" : "s",
-              enabled && *enabled ? "on" : "off", rate ? *rate : 0.0);
+              enabled ? "on" : "off", rate);
   if (rows.empty()) {
     std::printf("  no spans captured — arm tracing with --trace-sample/"
                 "EVOFORECAST_TRACE_SAMPLE and send requests\n");
@@ -594,42 +563,37 @@ void render_dashboard(const Sample& cur, const Derived& d, const std::string& ta
   std::fflush(stdout);
 }
 
-std::string json_escape(const std::string& text) {
-  std::string out;
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
 void render_json(const Sample& cur, const Derived& d) {
-  std::printf("{\"qps\":%.6g,\"p50_us\":%.6g,\"p90_us\":%.6g,\"p99_us\":%.6g,"
-              "\"cache_hit_rate\":%.6g,\"abstain_per_sec\":%.6g,\"errors\":%.0f,"
-              "\"slow_requests\":%.0f,\"requests_total\":%.0f,\"window_seconds\":%.6g,"
-              "\"server_window\":%s,\"models\":[",
-              d.qps, d.p50_us, d.p90_us, d.p99_us, d.cache_hit_rate, d.abstain_per_sec,
-              d.errors, d.slow_requests, d.requests_total, d.window_seconds,
-              d.server_window ? "true" : "false");
-  for (std::size_t i = 0; i < cur.models.size(); ++i) {
-    const ModelRow& row = cur.models[i];
-    std::printf("%s{\"name\":\"%s\",\"version\":%.0f,\"rules\":%.0f,\"window\":%.0f}",
-                i == 0 ? "" : ",", json_escape(row.name).c_str(), row.version, row.rules,
-                row.window);
+  ef::json::Writer out;
+  out.begin_object();
+  const std::pair<const char*, double> numbers[] = {
+      {"qps", d.qps},         {"p50_us", d.p50_us},
+      {"p90_us", d.p90_us},   {"p99_us", d.p99_us},
+      {"cache_hit_rate", d.cache_hit_rate}, {"abstain_per_sec", d.abstain_per_sec},
+      {"errors", d.errors},   {"slow_requests", d.slow_requests},
+      {"requests_total", d.requests_total}, {"window_seconds", d.window_seconds}};
+  for (const auto& [key, value] : numbers) out.key(key).value(value);
+  out.key("server_window").value(d.server_window);
+  out.key("models").begin_array();
+  for (const ModelRow& row : cur.models) {
+    out.begin_object().key("name").value(row.name).key("version").value(row.version);
+    out.key("rules").value(row.rules).key("window").value(row.window).end_object();
   }
-  std::printf("],\"quality_armed\":%s,\"quality\":[",
-              cur.quality_armed ? "true" : "false");
-  for (std::size_t i = 0; i < cur.quality.size(); ++i) {
-    const QualityRow& row = cur.quality[i];
-    std::printf("%s{\"model\":\"%s\",\"tick\":%.0f,\"pending\":%.0f,\"window\":%.0f",
-                i == 0 ? "" : ",", json_escape(row.model).c_str(), row.tick, row.pending,
-                row.window);
-    if (row.has_rmse) std::printf(",\"rmse\":%.6g,\"mae\":%.6g", row.rmse, row.mae);
-    if (row.has_coverage) std::printf(",\"coverage\":%.6g", row.coverage);
-    std::printf(",\"abstain_share\":%.6g,\"drifted\":%s,\"drift_detections\":%.0f}",
-                row.abstain_share, row.drifted ? "true" : "false", row.drift_detections);
+  out.end_array();
+  out.key("quality_armed").value(cur.quality_armed);
+  out.key("quality").begin_array();
+  for (const QualityRow& row : cur.quality) {
+    out.begin_object().key("model").value(row.model).key("tick").value(row.tick);
+    out.key("pending").value(row.pending).key("window").value(row.window);
+    if (row.has_rmse) out.key("rmse").value(row.rmse).key("mae").value(row.mae);
+    if (row.has_coverage) out.key("coverage").value(row.coverage);
+    out.key("abstain_share").value(row.abstain_share);
+    out.key("drifted").value(row.drifted);
+    out.key("drift_detections").value(row.drift_detections);
+    out.end_object();
   }
-  std::printf("]}\n");
+  const std::string text = out.end_array().end_object().take();
+  std::printf("%s\n", text.c_str());
   std::fflush(stdout);
 }
 

@@ -16,10 +16,10 @@
 #include "obs/events.hpp"
 #include "obs/macros.hpp"
 #include "obs/metrics.hpp"
-#include "serve/json.hpp"
+#include "series/synthetic.hpp"
 #include "serve/model_store.hpp"
 #include "serve/service.hpp"
-#include "series/synthetic.hpp"
+#include "util/json.hpp"
 
 namespace {
 
@@ -27,13 +27,13 @@ using ef::obs::Event;
 using ef::obs::EventField;
 using ef::obs::EventLog;
 
-ef::serve::json::Object parse_line(const std::string& line) {
+ef::json::Object parse_line(const std::string& line) {
   std::string error;
-  const auto doc = ef::serve::json::parse(line, error);
+  const auto doc = ef::json::parse(line, error);
   EXPECT_TRUE(doc.has_value()) << "not JSON: " << line << " (" << error << ")";
   const auto* object = doc ? doc->as_object() : nullptr;
   EXPECT_NE(object, nullptr) << line;
-  return object ? *object : ef::serve::json::Object{};
+  return object ? *object : ef::json::Object{};
 }
 
 /// Kinds present in the global log, in emission order. Unreferenced when

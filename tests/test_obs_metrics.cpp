@@ -10,13 +10,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "obs/export.hpp"
 #include "obs/macros.hpp"
+#include "util/json.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -176,127 +176,8 @@ TEST(ObsSnapshot, SortedByName) {
 }
 
 // ---------------------------------------------------------------------------
-// Export round-trip. A tiny recursive-descent JSON walker is enough to prove
-// the emitted text is syntactically valid; targeted substring checks prove
-// the values survived.
-
-class JsonWalker {
- public:
-  explicit JsonWalker(const std::string& text)
-      : p_(text.data()), end_(text.data() + text.size()) {}
-
-  [[nodiscard]] bool valid() {
-    value();
-    ws();
-    return !fail_ && p_ == end_;
-  }
-
- private:
-  void ws() {
-    while (p_ < end_ && (*p_ == ' ' || *p_ == '\n' || *p_ == '\t' || *p_ == '\r')) ++p_;
-  }
-  bool lit(const char* s) {
-    const std::size_t n = std::strlen(s);
-    if (static_cast<std::size_t>(end_ - p_) >= n && std::strncmp(p_, s, n) == 0) {
-      p_ += n;
-      return true;
-    }
-    return false;
-  }
-  void string() {
-    ++p_;  // opening quote
-    while (p_ < end_ && *p_ != '"') {
-      if (*p_ == '\\') ++p_;
-      ++p_;
-    }
-    if (p_ >= end_) {
-      fail_ = true;
-      return;
-    }
-    ++p_;  // closing quote
-  }
-  void number() {
-    const char* start = p_;
-    while (p_ < end_ && (std::strchr("+-.eE", *p_) != nullptr || (*p_ >= '0' && *p_ <= '9'))) {
-      ++p_;
-    }
-    if (p_ == start) fail_ = true;
-  }
-  void array() {
-    ++p_;  // '['
-    ws();
-    if (p_ < end_ && *p_ == ']') {
-      ++p_;
-      return;
-    }
-    while (!fail_) {
-      value();
-      ws();
-      if (p_ < end_ && *p_ == ',') {
-        ++p_;
-        continue;
-      }
-      if (p_ < end_ && *p_ == ']') {
-        ++p_;
-        return;
-      }
-      fail_ = true;
-    }
-  }
-  void object() {
-    ++p_;  // '{'
-    ws();
-    if (p_ < end_ && *p_ == '}') {
-      ++p_;
-      return;
-    }
-    while (!fail_) {
-      ws();
-      if (p_ >= end_ || *p_ != '"') {
-        fail_ = true;
-        return;
-      }
-      string();
-      ws();
-      if (p_ >= end_ || *p_ != ':') {
-        fail_ = true;
-        return;
-      }
-      ++p_;
-      value();
-      ws();
-      if (p_ < end_ && *p_ == ',') {
-        ++p_;
-        continue;
-      }
-      if (p_ < end_ && *p_ == '}') {
-        ++p_;
-        return;
-      }
-      fail_ = true;
-    }
-  }
-  void value() {
-    ws();
-    if (p_ >= end_) {
-      fail_ = true;
-      return;
-    }
-    if (*p_ == '{') {
-      object();
-    } else if (*p_ == '[') {
-      array();
-    } else if (*p_ == '"') {
-      string();
-    } else if (!lit("true") && !lit("false") && !lit("null")) {
-      number();
-    }
-  }
-
-  const char* p_;
-  const char* end_;
-  bool fail_ = false;
-};
+// Export round-trip: the strict reader proves the emitted text is valid JSON;
+// targeted substring checks prove the values survived.
 
 TEST(ObsExport, JsonIsValidAndCarriesValues) {
   ef::obs::reset_all();
@@ -307,9 +188,9 @@ TEST(ObsExport, JsonIsValidAndCarriesValues) {
   const auto report = ef::obs::capture_run_report();
   const std::string json = ef::obs::to_json(report);
 
-  JsonWalker walker(json);
-  EXPECT_TRUE(walker.valid()) << json;
-  EXPECT_NE(json.find("\"obs.test.json_counter\": 42"), std::string::npos) << json;
+  std::string error;
+  EXPECT_TRUE(ef::json::parse(json, error).has_value()) << error << ": " << json;
+  EXPECT_NE(json.find("\"obs.test.json_counter\":42"), std::string::npos) << json;
   EXPECT_NE(json.find("obs.test.json_gauge"), std::string::npos);
   EXPECT_NE(json.find("obs.test.json_hist"), std::string::npos);
   EXPECT_NE(json.find("\"counters\""), std::string::npos);

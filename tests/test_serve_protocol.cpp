@@ -1,13 +1,22 @@
-// Wire-protocol hardening: the JSON grammar edge cases a public TCP port
-// sees (duplicate keys, overflowing numbers, deep nesting), the
-// metrics/events observability verbs, and the v2 envelope (id echo,
-// structured error codes, v1 byte-compatibility).
+// Wire-protocol hardening: the grammar edge cases a public TCP port sees
+// (duplicate keys, overflowing numbers, deep nesting) as parse_request
+// reports them, error precedence, the metrics/events observability verbs,
+// the v2 envelope (id echo, structured error codes, v1 byte-compatibility)
+// and valid JSON for non-finite forecasts. The JSON tokenizer and writer
+// themselves are covered in test_json.cpp.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
+#include <vector>
 
-#include "serve/json.hpp"
+#include "core/interval.hpp"
+#include "core/rule.hpp"
+#include "core/rule_system.hpp"
+#include "serve/model_store.hpp"
 #include "serve/protocol.hpp"
+#include "serve/service.hpp"
+#include "util/json.hpp"
 
 namespace {
 
@@ -15,60 +24,6 @@ using ef::serve::ErrorCode;
 using ef::serve::ProtocolError;
 using ef::serve::Request;
 using ef::serve::parse_request;
-
-// --- json::parse ----------------------------------------------------------
-
-TEST(ServeJson, ParsesScalarsArraysObjects) {
-  std::string error;
-  const auto doc = ef::serve::json::parse(
-      R"({"a":1.5,"b":"x","c":[1,2,3],"d":true,"e":null})", error);
-  ASSERT_TRUE(doc.has_value()) << error;
-  const auto* object = doc->as_object();
-  ASSERT_NE(object, nullptr);
-  EXPECT_EQ(*object->at("a").as_number(), 1.5);
-  EXPECT_EQ(*object->at("b").as_string(), "x");
-  ASSERT_NE(object->at("c").as_array(), nullptr);
-  EXPECT_EQ(object->at("c").as_array()->size(), 3u);
-  EXPECT_TRUE(*object->at("d").as_bool());
-  EXPECT_TRUE(object->at("e").is_null());
-}
-
-TEST(ServeJson, RejectsDuplicateKeys) {
-  std::string error;
-  const auto doc = ef::serve::json::parse(R"({"cmd":"ping","cmd":"stats"})", error);
-  EXPECT_FALSE(doc.has_value());
-  EXPECT_NE(error.find("duplicate"), std::string::npos) << error;
-}
-
-TEST(ServeJson, RejectsNumbersOverflowingDouble) {
-  std::string error;
-  EXPECT_FALSE(ef::serve::json::parse("1e999", error).has_value());
-  EXPECT_FALSE(ef::serve::json::parse("-1e999", error).has_value());
-  EXPECT_FALSE(ef::serve::json::parse(R"({"horizon":1e999})", error).has_value());
-}
-
-TEST(ServeJson, RejectsNestingBeyondMaxDepth) {
-  // 20 nested arrays > default max_depth 8. Must fail, not overflow.
-  std::string deep;
-  for (int i = 0; i < 20; ++i) deep += '[';
-  deep += '1';
-  for (int i = 0; i < 20; ++i) deep += ']';
-  std::string error;
-  EXPECT_FALSE(ef::serve::json::parse(deep, error).has_value());
-  EXPECT_NE(error.find("deep"), std::string::npos) << error;
-
-  // A raised limit accepts the same document.
-  ef::serve::json::ParseOptions relaxed;
-  relaxed.max_depth = 32;
-  EXPECT_TRUE(ef::serve::json::parse(deep, error, relaxed).has_value());
-}
-
-TEST(ServeJson, RejectsTrailingGarbageAndTruncation) {
-  std::string error;
-  EXPECT_FALSE(ef::serve::json::parse(R"({"a":1} extra)", error).has_value());
-  EXPECT_FALSE(ef::serve::json::parse(R"({"a":)", error).has_value());
-  EXPECT_FALSE(ef::serve::json::parse("", error).has_value());
-}
 
 // --- parse_request --------------------------------------------------------
 
@@ -143,7 +98,8 @@ TEST(ProtocolV2, ExplicitVersionAndStringIdEcho) {
   ASSERT_TRUE(request.has_value()) << error.message;
   EXPECT_EQ(request->version, 2);
   EXPECT_EQ(request->id_json, "\"req-1\"");
-  EXPECT_EQ(ef::serve::envelope_json(*request), R"(,"v":2,"id":"req-1")");
+  EXPECT_EQ(ef::serve::reply(true, *request).end_object().take(),
+            R"({"ok":true,"v":2,"id":"req-1"})");
 }
 
 TEST(ProtocolV2, IdAloneImpliesVersion2) {
@@ -174,7 +130,7 @@ TEST(ProtocolV2, Version1StaysV1) {
   const auto request = parse_request(R"({"cmd":"ping","v":1})", error);
   ASSERT_TRUE(request.has_value()) << error.message;
   EXPECT_EQ(request->version, 1);
-  EXPECT_TRUE(ef::serve::envelope_json(*request).empty());
+  EXPECT_EQ(ef::serve::reply(true, *request).end_object().take(), R"({"ok":true})");
 }
 
 TEST(ProtocolV2, RejectsUnknownVersionAndBadIds) {
@@ -340,6 +296,80 @@ TEST(ProtocolV2, IntervalOnlyOnCoveredV2Responses) {
   const std::string abstain_line = ef::serve::to_json(response, v2);
   EXPECT_EQ(abstain_line.find("interval"), std::string::npos) << abstain_line;
   EXPECT_EQ(abstain_line.find("\"value\""), std::string::npos) << abstain_line;
+}
+
+// --- error precedence -----------------------------------------------------
+
+TEST(ParseRequest, ErrorPrecedenceTable) {
+  // The whole line is read before any error is reported: a syntax error
+  // anywhere beats a field error, "id"/"v" rank before other fields, the
+  // rest report in sorted key order, and a later id is still echoed.
+  struct Row {
+    const char* line;
+    const char* reply;
+  };
+  const Row rows[] = {
+      {R"({"zzz":1,"cmd":"nope"})", R"({"ok":false,"error":"unknown cmd 'nope'"})"},
+      {R"({"window":"x","agg":"bad"})",
+       R"({"ok":false,"error":"\"agg\" must be one of mean|fitness_weighted|median|best_rule|inverse_error"})"},
+      {R"({"cmd":5,"horizon":)",
+       R"({"ok":false,"error":"bad JSON: unexpected end of input at byte 19"})"},
+      {R"({"window":"x","id":"late"})",
+       R"({"ok":false,"v":2,"id":"late","error":{"code":"bad_request","message":"\"window\" must be an array of numbers"}})"},
+      {R"({"zz":1,"zz":2,"cmd":"nope"})",
+       R"({"ok":false,"error":"bad JSON: duplicate key \"zz\" at byte 13"})"},
+      {R"([1,2])", R"({"ok":false,"error":"request must be a JSON object"})"},
+      {R"([1,2)", R"({"ok":false,"error":"bad JSON: unexpected end of input at byte 4"})"},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.line);
+    ProtocolError error;
+    EXPECT_FALSE(parse_request(row.line, error).has_value());
+    EXPECT_EQ(ef::serve::error_json(error), row.reply);
+  }
+}
+
+// --- non-finite forecasts ---------------------------------------------------
+
+TEST(ProtocolV2, NonFiniteForecastIsNullAndTheReplyStaysValidJson) {
+  // One all-wildcard D=2 rule y = x1 + x2: a finite window of two 1e308s
+  // overflows the hyperplane to inf, which JSON cannot spell.
+  ef::core::Rule rule({ef::core::Interval::wildcard(), ef::core::Interval::wildcard()});
+  ef::core::PredictingPart part;
+  part.fit.coeffs = {1.0, 1.0, 0.0};
+  part.fit.max_abs_residual = 0.5;
+  part.matches = 5;
+  part.fitness = 1.0;
+  rule.set_predicting(part);
+  ef::core::RuleSystem system;
+  system.add_rules({rule}, false, -1.0);
+  ef::serve::ModelStore store;
+  store.add_system("m", std::move(system));
+  ef::serve::ForecastService service(store);
+
+  const struct {
+    const char* line;
+    const char* reply;
+  } cases[] = {
+      {R"({"model":"m","window":[1e308,1e308]})",
+       R"({"ok":true,"model":"m","version":1,"horizon":1,"abstain":false,"value":null,"votes":1,"cached":false})"},
+      {R"({"model":"m","window":[1e308,1e308],"v":2,"cache":false})",
+       R"({"ok":true,"v":2,"model":"m","version":1,"horizon":1,"abstain":false,"value":null,"interval":[null,null],"votes":1,"cached":false})"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.line);
+    ProtocolError error;
+    const auto request = parse_request(c.line, error);
+    ASSERT_TRUE(request.has_value()) << error.message;
+    const ef::serve::PredictResponse response = service.predict(request->predict);
+    ASSERT_TRUE(response.ok) << response.error;
+    ASSERT_FALSE(response.abstain);
+    EXPECT_TRUE(std::isinf(response.value));
+    const std::string reply = ef::serve::to_json(response, *request);
+    EXPECT_EQ(reply, c.reply);
+    std::string parse_error;
+    EXPECT_TRUE(ef::json::parse(reply, parse_error).has_value()) << parse_error;
+  }
 }
 
 }  // namespace

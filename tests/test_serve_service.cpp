@@ -19,10 +19,10 @@
 #include "core/rule.hpp"
 #include "core/rule_system.hpp"
 #include "obs/timeline.hpp"
-#include "serve/json.hpp"
 #include "serve/model_store.hpp"
 #include "serve/protocol.hpp"
 #include "serve/reactor.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -591,7 +591,7 @@ TEST(Reactor, TraceVerbReplyIsValidJsonAfterNanSampleRate) {
   const std::string reply = client.roundtrip(R"({"cmd":"trace"})");
   server.stop();
   std::string error;
-  const auto parsed = ef::serve::json::parse(reply, error);
+  const auto parsed = ef::json::parse(reply, error);
   ASSERT_TRUE(parsed.has_value()) << error << ": " << reply;
   const auto* object = parsed->as_object();
   ASSERT_NE(object, nullptr);

@@ -33,11 +33,11 @@
 #include "obs/timeline.hpp"
 #include "obs/timeline_export.hpp"
 #include "obs/window.hpp"
-#include "serve/json.hpp"
 #include "serve/model_store.hpp"
 #include "serve/reactor.hpp"
 #include "serve/service.hpp"
 #include "serve/window_cache.hpp"
+#include "util/json.hpp"
 #include "util/thread_pool.hpp"
 
 #if defined(__linux__)
@@ -198,7 +198,7 @@ TEST(StressConcurrency, EventLogAppendAgainstSnapshot) {
       for (const auto& event : recent) {
         ASSERT_GT(event.seq, last_seq);  // ring stays in emission order
         last_seq = event.seq;
-        ASSERT_TRUE(ef::serve::json::parse(event.to_json(), parse_error))
+        ASSERT_TRUE(ef::json::parse(event.to_json(), parse_error))
             << parse_error << ": " << event.to_json();
       }
       (void)log.dump_json_lines();
@@ -321,7 +321,7 @@ TEST(StressConcurrency, SpansAgainstSnapshot) {
         if (r == 0) ef::obs::Timeline::mark_slow(span.trace_id, 1.0);
       }
       const std::string json = ef::obs::chrome_trace_json();
-      ASSERT_TRUE(ef::serve::json::parse(json, parse_error)) << parse_error;
+      ASSERT_TRUE(ef::json::parse(json, parse_error)) << parse_error;
     }
   });
   std::thread resetter([&] {
