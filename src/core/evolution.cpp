@@ -105,9 +105,13 @@ bool SteadyStateEngine::step() {
   return accepted;
 }
 
-void SteadyStateEngine::run() {
+bool SteadyStateEngine::run(const std::atomic<bool>* stop) {
   const obs::Span span("core.evolution.run");
-  while (generation_ < config_.generations) step();
+  while (generation_ < config_.generations) {
+    if (stop && stop->load(std::memory_order_relaxed)) return false;
+    step();
+  }
+  return true;
 }
 
 const Rule& SteadyStateEngine::best() const {

@@ -7,6 +7,7 @@
 // answer; RuleSystem (rule_system.hpp) turns populations into a predictor.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <vector>
 
@@ -45,7 +46,11 @@ class SteadyStateEngine {
   bool step();
 
   /// Run `config.generations` − `generation()` remaining generations.
-  void run();
+  /// When `stop` is given it is read before each generation, and a set flag
+  /// ends the run there (cooperative cancellation: the outer training loop
+  /// stops executions the union will not use). Returns true when every
+  /// generation ran, false when the run was stopped early.
+  bool run(const std::atomic<bool>* stop = nullptr);
 
   [[nodiscard]] const std::vector<Rule>& population() const noexcept { return population_; }
   [[nodiscard]] std::size_t generation() const noexcept { return generation_; }

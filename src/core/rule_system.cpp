@@ -3,7 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <condition_variable>
+#include <exception>
 #include <istream>
+#include <mutex>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -381,6 +385,29 @@ void RuleSystem::describe(std::ostream& out, std::size_t top_n) const {
   }
 }
 
+namespace {
+
+/// Union one finished execution's population into `result` (paper §3.4) and
+/// publish it: the executions counter, both gauges and the train.execution
+/// event. Returns whether the union now meets the coverage target.
+bool union_execution(TrainResult& result, std::vector<Rule> population,
+                     const WindowDataset& train, const RuleSystemConfig& config,
+                     util::ThreadPool* pool, [[maybe_unused]] const char* schedule) {
+  result.system.add_rules(std::move(population), config.discard_unfit, config.evolution.f_min);
+  ++result.executions;
+  EVOFORECAST_COUNT("train.executions", 1);
+  result.train_coverage_percent = result.system.coverage_percent(train, pool);
+  result.coverage_per_execution.push_back(result.train_coverage_percent);
+  EVOFORECAST_GAUGE_SET("train.coverage_percent", result.train_coverage_percent);
+  EVOFORECAST_GAUGE_SET("train.rules_union_size", result.system.size());
+  EVOFORECAST_EVENT("train.execution", {"schedule", schedule}, {"execution", result.executions},
+                    {"coverage_percent", result.train_coverage_percent},
+                    {"rules", result.system.size()});
+  return result.train_coverage_percent >= config.coverage_target_percent;
+}
+
+}  // namespace
+
 TrainResult extend_rule_system(const RuleSystem& existing, const WindowDataset& train,
                                const RuleSystemConfig& config, util::ThreadPool* pool) {
   const obs::Span span("core.train.extend", obs::kRoot);
@@ -391,106 +418,118 @@ TrainResult extend_rule_system(const RuleSystem& existing, const WindowDataset& 
   engine.run();
 
   TrainResult result;
-  result.system.add_rules(std::vector<Rule>(engine.population()), config.discard_unfit,
-                          config.evolution.f_min);
-  result.executions = 1;
-  result.train_coverage_percent = result.system.coverage_percent(train, pool);
-  result.coverage_per_execution.push_back(result.train_coverage_percent);
-  EVOFORECAST_COUNT("train.executions", 1);
-  EVOFORECAST_GAUGE_SET("train.coverage_percent", result.train_coverage_percent);
-  EVOFORECAST_GAUGE_SET("train.rules_union_size", result.system.size());
-  EVOFORECAST_EVENT("train.execution", {"schedule", "extend"}, {"execution", std::size_t{1}},
-                    {"coverage_percent", result.train_coverage_percent},
-                    {"rules", result.system.size()});
+  result.executions_run = 1;
+  union_execution(result, std::vector<Rule>(engine.population()), train, config, pool, "extend");
   return result;
 }
 
 namespace {
 
-/// Island schedule: all executions concurrently, unioned in island order.
-TrainResult train_islands(const WindowDataset& train, const RuleSystemConfig& config,
-                          util::ThreadPool* pool) {
+/// The multi-execution outer loop under either schedule. Lanes claim
+/// executions in seed order and union finished ones strictly in that order,
+/// so every lane count yields the sequential result: the shortest prefix of
+/// executions whose union meets the coverage target. Once a prefix does, the
+/// stop flag ends running executions at their next generation and nothing
+/// further starts. A lane claims execution j only while j is less than
+/// `lanes` past the unioned prefix, so at most lanes − 1 executions beyond
+/// the used prefix ever start.
+///
+/// Sequential: one lane on the calling thread, evaluating on the caller's
+/// pool with the caller's telemetry. Islands: one lane per pool worker (at
+/// most one per execution), each evaluating serially on a single-worker
+/// sentinel pool so a worker never blocks on a nested parallel_for.
+TrainResult run_executions(const WindowDataset& train, const RuleSystemConfig& config,
+                           util::ThreadPool* pool, const TelemetrySink& telemetry,
+                           bool islands) {
+  static util::ThreadPool inline_pool(1);
   util::ThreadPool& tp = pool ? *pool : util::ThreadPool::shared();
+  const std::size_t total = config.max_executions;
+  const std::size_t lanes = islands ? std::min(total, tp.size()) : 1;
+  util::ThreadPool* lane_pool = islands ? &inline_pool : pool;
+  const char* schedule = islands ? "islands" : "sequential";
 
-  // Same seed schedule as the sequential trainer.
+  // The first execution uses the configured seed verbatim (reproducing a
+  // single-run experiment exactly); later ones fork from it.
   util::Rng seeder(config.evolution.seed);
-  std::vector<std::uint64_t> seeds(config.max_executions);
-  for (std::size_t exec = 0; exec < seeds.size(); ++exec) {
+  std::vector<std::uint64_t> seeds(total);
+  for (std::size_t exec = 0; exec < total; ++exec) {
     seeds[exec] = exec == 0 ? config.evolution.seed : seeder();
   }
 
-  // One island per execution; islands evaluate serially (single-worker
-  // sentinel pool) so a pool worker never blocks on nested parallel_for.
-  static util::ThreadPool inline_pool(1);
-  std::vector<std::vector<Rule>> islands(config.max_executions);
-  // Island execution spans open under the caller's trace context so they
-  // land in the same timeline despite the thread hop.
+  TrainResult result;
+  std::atomic<bool> stop{false};
+  std::mutex mutex;  // guards result, next, finished and first_error
+  std::condition_variable claimable;
+  std::size_t next = 0;
+  std::vector<std::optional<std::vector<Rule>>> finished(total);
+  std::exception_ptr first_error;
+
+  // Caller holds `mutex`. The next execution in order, or nullopt once the
+  // loop is over; waits while the claim would run too far past the prefix.
+  const auto claim = [&](std::unique_lock<std::mutex>& lock) -> std::optional<std::size_t> {
+    claimable.wait(lock, [&] {
+      return stop.load() || next >= total || next < result.executions + lanes;
+    });
+    if (stop.load() || next >= total) return std::nullopt;
+    ++result.executions_run;
+    return next++;
+  };
+  // Caller holds `mutex`. Unions the finished executions that extend the
+  // prefix, stopping every lane once the target is met.
+  const auto commit = [&] {
+    while (!stop.load() && result.executions < total && finished[result.executions]) {
+      std::vector<Rule> population = std::move(*finished[result.executions]);
+      finished[result.executions].reset();
+      if (union_execution(result, std::move(population), train, config, lane_pool, schedule)) {
+        stop.store(true);
+      }
+    }
+    claimable.notify_all();
+  };
+
+  // Execution spans open under the caller's trace context so island
+  // executions land in the same timeline despite the thread hop.
   const obs::TraceContext trace_ctx = obs::current_context();
-  tp.parallel_for(
-      0, config.max_executions,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t exec = begin; exec < end; ++exec) {
-          obs::Span execution_span("core.train.execution", trace_ctx);
-          execution_span.set_arg("execution", static_cast<double>(exec + 1));
-          EvolutionConfig run_config = config.evolution;
-          run_config.seed = seeds[exec];
-          SteadyStateEngine engine(train, run_config, &inline_pool);
-          engine.run();
-          islands[exec] = engine.population();
+  const auto lane = [&] {
+    std::unique_lock lock(mutex);
+    while (const std::optional<std::size_t> exec = claim(lock)) {
+      lock.unlock();
+      obs::Span execution_span("core.train.execution", trace_ctx);
+      try {
+        EvolutionConfig run_config = config.evolution;
+        run_config.seed = seeds[*exec];
+        SteadyStateEngine engine(train, run_config, lane_pool, telemetry);
+        if (engine.run(&stop)) {
+          execution_span.set_arg("execution", static_cast<double>(*exec + 1));
+          std::vector<Rule> population = engine.population();
+          lock.lock();
+          finished[*exec] = std::move(population);
+          commit();
+        } else {
+          execution_span.set_arg("cancelled", static_cast<double>(*exec + 1));
+          EVOFORECAST_COUNT("train.executions_cancelled", 1);
+          lock.lock();
         }
-      },
-      /*grain=*/1);
+      } catch (...) {
+        if (!lock.owns_lock()) lock.lock();
+        if (!first_error) first_error = std::current_exception();
+        stop.store(true);
+        claimable.notify_all();
+      }
+    }
+  };
 
-  // Union in island order until the coverage target is met — identical to
-  // the sequential early-stopping result.
-  TrainResult result;
-  for (std::size_t exec = 0; exec < islands.size(); ++exec) {
-    result.system.add_rules(std::move(islands[exec]), config.discard_unfit,
-                            config.evolution.f_min);
-    ++result.executions;
-    EVOFORECAST_COUNT("train.executions", 1);
-    result.train_coverage_percent = result.system.coverage_percent(train, pool);
-    result.coverage_per_execution.push_back(result.train_coverage_percent);
-    EVOFORECAST_GAUGE_SET("train.coverage_percent", result.train_coverage_percent);
-    EVOFORECAST_GAUGE_SET("train.rules_union_size", result.system.size());
-    EVOFORECAST_EVENT("train.execution", {"schedule", "islands"}, {"execution", result.executions},
-                      {"coverage_percent", result.train_coverage_percent},
-                      {"rules", result.system.size()});
-    if (result.train_coverage_percent >= config.coverage_target_percent) break;
+  if (lanes == 1) {
+    lane();
+  } else {
+    tp.parallel_for(
+        0, lanes,
+        [&](std::size_t begin, std::size_t end) {
+          for (std::size_t i = begin; i < end; ++i) lane();
+        },
+        /*grain=*/1);
   }
-  return result;
-}
-
-/// Sequential schedule: one execution after another; supports telemetry.
-TrainResult train_sequential(const WindowDataset& train, const RuleSystemConfig& config,
-                             util::ThreadPool* pool, const TelemetrySink& telemetry) {
-  TrainResult result;
-  util::Rng seeder(config.evolution.seed);
-  for (std::size_t exec = 0; exec < config.max_executions; ++exec) {
-    obs::Span execution_span("core.train.execution");
-    execution_span.set_arg("execution", static_cast<double>(exec + 1));
-    EvolutionConfig run_config = config.evolution;
-    // First execution uses the configured seed verbatim (reproducing a
-    // single-run experiment exactly); later ones fork from it.
-    run_config.seed = exec == 0 ? config.evolution.seed : seeder();
-
-    SteadyStateEngine engine(train, run_config, pool, telemetry);
-    engine.run();
-    result.system.add_rules(std::vector<Rule>(engine.population()), config.discard_unfit,
-                            config.evolution.f_min);
-    ++result.executions;
-    EVOFORECAST_COUNT("train.executions", 1);
-
-    result.train_coverage_percent = result.system.coverage_percent(train, pool);
-    result.coverage_per_execution.push_back(result.train_coverage_percent);
-    EVOFORECAST_GAUGE_SET("train.coverage_percent", result.train_coverage_percent);
-    EVOFORECAST_GAUGE_SET("train.rules_union_size", result.system.size());
-    EVOFORECAST_EVENT("train.execution", {"schedule", "sequential"},
-                      {"execution", result.executions},
-                      {"coverage_percent", result.train_coverage_percent},
-                      {"rules", result.system.size()});
-    if (result.train_coverage_percent >= config.coverage_target_percent) break;
-  }
+  if (first_error) std::rethrow_exception(first_error);
   return result;
 }
 
@@ -516,8 +555,8 @@ TrainResult train(const WindowDataset& data, const TrainOptions& options) {
         "train: telemetry is not supported with TrainParallelism::kIslands (interleaved "
         "records from concurrent islands would be unordered)");
   }
-  if (mode == TrainParallelism::kIslands) return train_islands(data, config, options.pool);
-  return train_sequential(data, config, options.pool, options.telemetry);
+  return run_executions(data, config, options.pool, options.telemetry,
+                        mode == TrainParallelism::kIslands);
 }
 
 }  // namespace ef::core

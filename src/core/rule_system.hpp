@@ -119,7 +119,12 @@ class RuleSystem {
 /// Result of the coverage-driven outer training loop.
 struct TrainResult {
   RuleSystem system;
+  /// Executions unioned into `system` (the prefix that met the target).
   std::size_t executions = 0;
+  /// Executions that began evolving: `executions` plus those the island
+  /// schedule started and then cancelled once the prefix was enough (at most
+  /// pool size − 1 of them). Equal to `executions` under kSequential.
+  std::size_t executions_run = 0;
   double train_coverage_percent = 0.0;
   /// Coverage after each execution (monotonically non-decreasing).
   std::vector<double> coverage_per_execution;
@@ -129,16 +134,18 @@ struct TrainResult {
 enum class TrainParallelism {
   /// Islands when they can help (max_executions > 1, multi-worker pool, no
   /// telemetry sink), sequential otherwise. Both schedules produce exactly
-  /// the same TrainResult, so this is safe as the default.
+  /// the same TrainResult apart from executions_run, so this is safe as the
+  /// default.
   kAuto,
   /// One execution after another on `pool`; supports telemetry.
   kSequential,
-  /// All executions concurrently, one island each (each island evaluates
-  /// serially to avoid nested pool waits), unioned in island order until the
-  /// coverage target is met. Identical result to kSequential — wall-clock
-  /// only (and wasted islands when the target is hit early). Telemetry is
-  /// rejected here: interleaved records from concurrent islands would be
-  /// unordered.
+  /// One island per pool worker: islands claim executions in seed order
+  /// (each evaluates serially to avoid nested pool waits) and union them in
+  /// that order until the coverage target is met, then cancel the executions
+  /// still running at their next generation and start no more. Identical
+  /// result to kSequential — wall-clock only, plus at most pool size − 1
+  /// cancelled executions. Telemetry is rejected here: interleaved records
+  /// from concurrent islands would be unordered.
   kIslands,
 };
 

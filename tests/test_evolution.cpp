@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <vector>
 
@@ -67,6 +68,27 @@ TEST(Engine, GenerationCounterAdvances) {
   EXPECT_EQ(engine.generation(), 1u);
   engine.run();
   EXPECT_EQ(engine.generation(), 300u);
+}
+
+TEST(Engine, StopFlagEndsRunBetweenGenerations) {
+  const TimeSeries s = noisy_sine(300, 0.05);
+  const WindowDataset data(s, 4, 1);
+  std::atomic<bool> stop{true};
+  SteadyStateEngine stopped(data, small_config());
+  EXPECT_FALSE(stopped.run(&stop));
+  EXPECT_EQ(stopped.generation(), 0u);
+
+  // An unset flag changes nothing: the same population as a plain run.
+  stop = false;
+  SteadyStateEngine flagged(data, small_config());
+  SteadyStateEngine plain(data, small_config());
+  EXPECT_TRUE(flagged.run(&stop));
+  EXPECT_TRUE(plain.run());
+  EXPECT_EQ(flagged.generation(), 300u);
+  ASSERT_EQ(flagged.population().size(), plain.population().size());
+  for (std::size_t i = 0; i < plain.population().size(); ++i) {
+    EXPECT_EQ(flagged.population()[i].genes(), plain.population()[i].genes());
+  }
 }
 
 TEST(Engine, DeterministicForSameSeed) {

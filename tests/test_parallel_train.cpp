@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/rule_system.hpp"
@@ -156,6 +159,76 @@ TEST(ParallelTrain, AutoWithTelemetryFallsBackToSequential) {
   const auto result = ef::core::train(train, options);
   EXPECT_FALSE(result.system.empty());
   EXPECT_FALSE(collector.empty());
+}
+
+// ---- In-order claims and cancellation ----------------------------------------
+
+std::string saved(const ef::core::TrainResult& result) {
+  std::ostringstream out;
+  result.system.save(out);
+  return out.str();
+}
+
+TEST(ParallelTrain, IslandsMatchSequentialForEveryPoolSizeAndTarget) {
+  const TimeSeries s = noisy_sine(400);
+  const WindowDataset train(s, 4, 1);
+  for (const std::size_t executions : {1u, 3u, 6u}) {
+    for (const double target : {0.0, 50.0, 100.0}) {
+      // A tight EMAX keeps coverage low (about 20, 35, 47, 47, 51 and 55 %
+      // after executions 1–6): 50 % stops after execution 5, 100 % never.
+      auto cfg = config_with(executions, target);
+      cfg.evolution.emax = 0.05;
+      const auto sequential = ef::core::train(
+          train, {.config = cfg, .parallelism = TrainParallelism::kSequential});
+      EXPECT_EQ(sequential.executions_run, sequential.executions);
+      for (const std::size_t workers : {1u, 2u, 3u, 4u}) {
+        SCOPED_TRACE(testing::Message() << executions << " executions, target " << target
+                                        << " %, " << workers << " workers");
+        ef::util::ThreadPool pool(workers);
+        const auto islands = ef::core::train(
+            train, {.config = cfg, .pool = &pool, .parallelism = TrainParallelism::kIslands});
+        EXPECT_EQ(saved(islands), saved(sequential));
+        expect_same_result(sequential, islands);
+        EXPECT_GE(islands.executions_run, islands.executions);
+        EXPECT_LE(islands.executions_run, islands.executions + workers - 1);
+        if (target == 0.0) {
+          EXPECT_EQ(islands.executions, 1u);
+        }
+        if (target == 100.0) {
+          EXPECT_EQ(islands.executions_run, executions);
+        }
+      }
+    }
+  }
+}
+
+TEST(ParallelTrain, MetTargetCancelsTheRemainingExecutions) {
+  const TimeSeries s = noisy_sine(400);
+  const WindowDataset train(s, 4, 1);
+  ef::util::ThreadPool pool(2);
+  // Target 0 %: execution 1 alone meets it, so of six executions only the
+  // one the other island claimed beside it may also have started.
+  const auto islands = ef::core::train(
+      train, {.config = config_with(6, 0.0), .pool = &pool,
+              .parallelism = TrainParallelism::kIslands});
+  EXPECT_EQ(islands.executions, 1u);
+  EXPECT_LE(islands.executions_run, 2u);
+}
+
+TEST(ParallelTrain, ThrowingExecutionStopsTheLoopAndRethrows) {
+  const TimeSeries s = noisy_sine(300);
+  const WindowDataset train(s, 4, 1);
+  auto cfg = config_with(3, 100.0);
+  cfg.evolution.telemetry_stride = 50;
+  std::size_t records = 0;
+  TrainOptions options;
+  options.config = cfg;
+  options.parallelism = TrainParallelism::kSequential;
+  options.telemetry = [&](const ef::core::TelemetryRecord&) {
+    if (++records == 2) throw std::runtime_error("sink failed");
+  };
+  EXPECT_THROW((void)ef::core::train(train, options), std::runtime_error);
+  EXPECT_EQ(records, 2u);  // nothing ran past the failing execution
 }
 
 // ---- Prediction::bound ------------------------------------------------------
