@@ -1,5 +1,5 @@
 // bench_micro_core — google-benchmark microbenchmarks of the engine's hot
-// paths: window matching (serial vs pooled), rule evaluation (match +
+// paths: window matching (pooled), rule evaluation (match +
 // regression), one steady-state generation, and rule-system query
 // throughput. These quantify the costs that justify the parallel match
 // engine and bound full-scale run times.
@@ -38,18 +38,6 @@ Rule probe_rule(const WindowDataset& data) {
   genes[12] = Interval(data.value_min(), mid + 20.0);
   return Rule(std::move(genes));
 }
-
-void BM_MatchSerial(benchmark::State& state) {
-  const auto& data = venice_dataset(static_cast<std::size_t>(state.range(0)));
-  const ef::core::MatchEngine engine(data);
-  const Rule rule = probe_rule(data);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.match_indices_serial(rule));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(data.count()));
-}
-BENCHMARK(BM_MatchSerial)->Arg(10000)->Arg(50000)->Unit(benchmark::kMicrosecond);
 
 void BM_MatchParallel(benchmark::State& state) {
   const auto& data = venice_dataset(static_cast<std::size_t>(state.range(0)));

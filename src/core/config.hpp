@@ -68,19 +68,9 @@ struct EvolutionConfig {
   InitStrategy init = InitStrategy::kOutputStratified;
   ReplacementStrategy replacement = ReplacementStrategy::kCrowding;
 
-  /// Match path used by rule evaluation: kAuto (the production kernels,
-  /// whose SIMD width cpuid picks) or kScalar (the reference scan tests
-  /// compare against). Both produce bit-identical match sets, so trained
-  /// systems are identical either way.
+  /// Match path used by rule evaluation. kAuto is its one value: the
+  /// match kernels, whose SIMD width cpuid picks.
   MatchBackend match_backend = MatchBackend::kAuto;
-
-  /// Evaluate whole populations through Evaluator::evaluate_all (one
-  /// rule-major plane build + one window pass per batch, scoring fanned out
-  /// across the pool) wherever the engine structure allows: initial
-  /// populations, warm-start realignment, generational offspring cohorts.
-  /// false restores the pre-batching per-rule loop — an ablation/rollback
-  /// switch; results are bit-identical either way, only speed differs.
-  bool batched_fitness = true;
 
   std::uint64_t seed = 1;
 

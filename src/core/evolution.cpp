@@ -50,11 +50,9 @@ SteadyStateEngine::SteadyStateEngine(const WindowDataset& data, EvolutionConfig 
 
   const bool track_matches = config_.distance == DistanceMetric::kMatchedJaccard &&
                              config_.replacement == ReplacementStrategy::kCrowding;
-  // Initial population: one batched pass (under the rule-major backend the
-  // whole set is matched in a single window sweep) unless the per-rule
-  // ablation path is selected.
-  evaluator_.evaluate_population(population_, track_matches ? &matched_ : nullptr,
-                                 config_.batched_fitness);
+  // Initial population: one batched pass (the whole set is matched in a
+  // single window sweep).
+  evaluator_.evaluate_all(population_, track_matches ? &matched_ : nullptr);
 
   // Warm start with surplus seeds: keep the fittest population_size rules.
   if (population_.size() > config_.population_size) {
@@ -63,7 +61,7 @@ SteadyStateEngine::SteadyStateEngine(const WindowDataset& data, EvolutionConfig 
     population_.resize(config_.population_size);
     if (track_matches) {
       // Matched sets were evaluated pre-sort; re-evaluate to realign.
-      evaluator_.evaluate_population(population_, &matched_, config_.batched_fitness);
+      evaluator_.evaluate_all(population_, &matched_);
     }
   }
   emit_telemetry();  // generation-0 snapshot

@@ -41,6 +41,11 @@ class SteadyStateEngine {
                     std::vector<Rule> seed_population, util::ThreadPool* pool = nullptr,
                     TelemetrySink telemetry = {});
 
+  /// Not copyable or movable: evaluator_ refers to this engine's own engine_
+  /// and config_, so a copy would evaluate through the source's members.
+  SteadyStateEngine(const SteadyStateEngine&) = delete;
+  SteadyStateEngine& operator=(const SteadyStateEngine&) = delete;
+
   /// One steady-state generation. Returns true when the offspring was
   /// accepted into the population.
   bool step();

@@ -61,17 +61,4 @@ void Evaluator::evaluate_all(std::span<Rule> population,
   if (keep_matches) *keep_matches = std::move(matched);
 }
 
-void Evaluator::evaluate_population(std::span<Rule> population,
-                                    std::vector<std::vector<std::size_t>>* keep_matches,
-                                    bool batched) const {
-  if (batched) {
-    evaluate_all(population, keep_matches);
-    return;
-  }
-  if (keep_matches) keep_matches->assign(population.size(), {});
-  for (std::size_t k = 0; k < population.size(); ++k) {
-    evaluate(population[k], keep_matches ? &(*keep_matches)[k] : nullptr);
-  }
-}
-
 }  // namespace ef::core

@@ -38,21 +38,14 @@ class Evaluator {
   /// (needed by the Jaccard crowding metric).
   void evaluate(Rule& rule, std::vector<std::size_t>* keep_matches = nullptr) const;
 
-  /// Evaluate every rule of a population in place. Under the rule-major
-  /// backend the whole batch is matched in one window pass
-  /// (MatchEngine::match_all) and the regress-and-score tail fans out across
-  /// the engine's pool; results are bit-identical to calling evaluate() per
-  /// rule. When `keep_matches` is non-null it receives one matched index set
-  /// per rule (same order as `population`).
+  /// Evaluate every rule of a population in place. The whole batch is
+  /// matched in one window pass (MatchEngine::match_all) and the
+  /// regress-and-score tail fans out across the engine's pool; results are
+  /// bit-identical to calling evaluate() per rule. When `keep_matches` is
+  /// non-null it receives one matched index set per rule (same order as
+  /// `population`).
   void evaluate_all(std::span<Rule> population,
                     std::vector<std::vector<std::size_t>>* keep_matches = nullptr) const;
-
-  /// Dispatch between evaluate_all (batched = true) and the pre-batching
-  /// per-rule loop (batched = false — EvolutionConfig::batched_fitness, the
-  /// ablation/rollback switch). Identical results either way.
-  void evaluate_population(std::span<Rule> population,
-                           std::vector<std::vector<std::size_t>>* keep_matches,
-                           bool batched) const;
 
   [[nodiscard]] const MatchEngine& engine() const noexcept { return engine_; }
   [[nodiscard]] const EvolutionConfig& config() const noexcept { return config_; }

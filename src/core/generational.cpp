@@ -29,7 +29,7 @@ GenerationalEngine::GenerationalEngine(const WindowDataset& data, GenerationalCo
       telemetry_(std::move(telemetry)) {
   config_.validate();
   population_ = initialize_population(data_, config_.base, rng_);
-  evaluator_.evaluate_population(population_, nullptr, config_.base.batched_fitness);
+  evaluator_.evaluate_all(population_);
   emit_telemetry();  // generation-0 snapshot
 }
 
@@ -68,9 +68,9 @@ std::size_t GenerationalEngine::step() {
 
   // Generate the whole offspring cohort first (same RNG call order as the
   // old generate-evaluate interleave: selection, crossover and mutation draw
-  // nothing during evaluation), then evaluate it as one batch — under the
-  // rule-major backend that is a single plane build + window pass per
-  // generation instead of one sweep per offspring.
+  // nothing during evaluation), then evaluate it as one batch — a single
+  // plane build + window pass per generation instead of one sweep per
+  // offspring.
   const std::size_t offspring_count = population_.size() - next.size();
   std::vector<Rule> offspring;
   offspring.reserve(offspring_count);
@@ -84,7 +84,7 @@ std::size_t GenerationalEngine::step() {
     EVOFORECAST_COUNT("evolution.offspring_generated", 1);
     offspring.push_back(std::move(child));
   }
-  evaluator_.evaluate_population(offspring, nullptr, config_.base.batched_fitness);
+  evaluator_.evaluate_all(offspring);
   evaluations_ += offspring_count;
 
   std::size_t improved = 0;

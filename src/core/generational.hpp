@@ -37,6 +37,11 @@ class GenerationalEngine {
   GenerationalEngine(const WindowDataset& data, GenerationalConfig config,
                      util::ThreadPool* pool = nullptr, TelemetrySink telemetry = {});
 
+  /// Not copyable or movable: evaluator_ refers to this engine's own engine_
+  /// and config_, so a copy would evaluate through the source's members.
+  GenerationalEngine(const GenerationalEngine&) = delete;
+  GenerationalEngine& operator=(const GenerationalEngine&) = delete;
+
   /// One full generational replacement (population_size offspring
   /// evaluations). Returns the number of offspring fitter than the slot
   /// they took (informational).

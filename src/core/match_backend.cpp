@@ -42,21 +42,16 @@ bool cpu_supports_avx2() noexcept {
 namespace {
 
 /// One-time "which backend actually runs" breadcrumb: an event plus a
-/// per-backend counter, emitted the first time each backend value is
-/// resolved in this process. fleet_smoke.py and test_obs_events assert on
-/// the event; efstat surfaces the counter. (Counter names must be literals.)
+/// counter, emitted the first time a backend is resolved in this process.
+/// fleet_smoke.py and test_obs_events assert on the event; efstat surfaces
+/// the counter.
 void note_backend_selected(MatchBackend selected, bool avx2) {
 #if EVOFORECAST_OBS_ENABLED
-  static std::atomic<unsigned> seen{0};
-  const unsigned bit = 1u << static_cast<unsigned>(selected);
-  if (seen.fetch_or(bit, std::memory_order_relaxed) & bit) return;
+  static std::atomic<bool> seen{false};
+  if (seen.exchange(true, std::memory_order_relaxed)) return;
   EVOFORECAST_EVENT("match.backend_selected", {"backend", to_string(selected)},
                     {"avx2_supported", avx2});
-  if (selected == MatchBackend::kScalar) {
-    EVOFORECAST_COUNT("match.backend.scalar.selected", 1);
-  } else {
-    EVOFORECAST_COUNT("match.backend.auto.selected", 1);
-  }
+  EVOFORECAST_COUNT("match.backend.auto.selected", 1);
 #else
   (void)selected;
   (void)avx2;
@@ -176,7 +171,7 @@ inline std::uint8_t quantize_bound(double b, double qmin, double qinv) {
 }
 
 /// Exact double verification of one rule against one row-major window —
-/// the same comparisons the scalar reference performs (wildcards accept
+/// the paper's comparisons lo <= v && v <= hi (wildcards accept
 /// anything, including NaN; bounded genes reject NaN because both
 /// comparisons are false). The wildcard flag lives in `wmask` as an all-ones
 /// bit pattern (see build_rule_planes) so this and the AVX2 verifier below
@@ -205,7 +200,7 @@ __attribute__((target("avx2"))) inline __m256i tail_gene_mask(std::size_t rem) {
 /// Vectorized exact verification: four gene lanes per compare, identical
 /// double comparisons to verify_rule_row (_CMP_GE_OQ / _CMP_LE_OQ are the
 /// IEEE ordered-quiet >= / <= that C++ `>=` / `<=` perform, so NaN rejects
-/// in bounded lanes exactly as in the scalar path), wildcard and padding
+/// in bounded lanes exactly as in verify_rule_row), wildcard and padding
 /// lanes forced passing by OR-ing the all-ones wmask. The tail chunk uses a
 /// maskload so rows at the end of the buffer are never read past `window`.
 __attribute__((target("avx2"))) inline bool verify_row_avx2(
@@ -244,7 +239,7 @@ __attribute__((target("avx2"))) inline bool verify_row_avx2(
 /// b < q(hi) ⇒ v < hi — a window strictly interior in every bound gene
 /// matches with certainty and never touches the double rows. Only boundary
 /// bytes (b == q(lo) or b == q(hi)) are ambiguous and take the exact AVX2
-/// row verification, which restores bit-identity with the scalar reference.
+/// row verification, which restores the exact match set.
 /// NaN quantizes to byte 0, never strictly above q(lo) ≥ 0, so NaN in a
 /// bound gene is either rejected by the byte scan or sent to the exact check
 /// which rejects it; wildcard genes are not scanned and accept everything,
@@ -439,22 +434,6 @@ __attribute__((target("avx2"))) void rule_major_avx2(
 
 }  // namespace
 
-void scalar_match(const double* rows, std::size_t window, std::span<const Interval> genes,
-                  std::size_t begin, std::size_t end, std::vector<std::size_t>& out) {
-  const std::size_t d = genes.size();
-  for (std::size_t i = begin; i < end; ++i) {
-    const double* w = rows + i * window;
-    bool ok = true;
-    for (std::size_t j = 0; j < d; ++j) {
-      if (!genes[j].contains(w[j])) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) out.push_back(i);
-  }
-}
-
 void soa_prefilter_match(const LagMajorView& view, std::span<const Interval> genes,
                          std::size_t begin, std::size_t end, std::vector<std::size_t>& out,
                          std::size_t* pruned_out, bool avx2) {
@@ -491,7 +470,7 @@ void soa_prefilter_match(const LagMajorView& view, std::span<const Interval> gen
   // then verify each surviving candidate exactly against its contiguous
   // row-major window — every bound gene, narrowest first, in double
   // precision. The byte ranges are conservative supersets, so this
-  // reproduces the scalar reference bit-for-bit. The column is processed
+  // reproduces the exact match set. The column is processed
   // in blocks through a stack candidate buffer so `out` only ever receives
   // verified matches — typically a handful per thousand windows — instead
   // of the much larger candidate superset.

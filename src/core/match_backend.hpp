@@ -3,22 +3,14 @@
 // Evaluating one offspring rule tests every training window (up to ~45 000
 // for Venice) against D interval genes; that scan dominates training
 // wall-clock. The paper's predicate is one (§3: every non-wildcard gene
-// contains its lag), and so is the production path. MatchBackend has two
-// values:
-//
-//   * kScalar — the row-wise reference scan: one window at a time,
-//               short-circuiting on the first failing gene. Tests and the
-//               determinism differential compare every other path to it.
-//   * kAuto   — the production path. A single rule runs the prefilter
-//               kernel: non-wildcard genes narrowest first, the narrowest
-//               gene relaxed to a byte range and scanned over the quantized
-//               uint8 columns (8× less memory traffic than doubles), the
-//               surviving candidates re-verified exactly against the
-//               row-major mirror. A whole rule set runs the rule-major
-//               kernel: quantized lo/hi byte planes for every gene of every
-//               rule, built once, matched against the window stream in ONE
-//               pass (16/32 rules per SIMD compare), exact verification on
-//               survivors only.
+// contains its lag), and so is the match path. A single rule runs the
+// prefilter kernel: non-wildcard genes narrowest first, the narrowest gene
+// relaxed to a byte range and scanned over the quantized uint8 columns (8×
+// less memory traffic than doubles), the surviving candidates re-verified
+// exactly against the row-major mirror. A whole rule set runs the rule-major
+// kernel: quantized lo/hi byte planes for every gene of every rule, built
+// once, matched against the window stream in ONE pass (16/32 rules per SIMD
+// compare), exact verification on survivors only.
 //
 // Inside both kernels cpu_supports_avx2() alone picks the SIMD width: AVX2
 // (32 byte lanes, compiled via function target attributes so the binary
@@ -26,12 +18,13 @@
 // EVOFORECAST_MATCH_CPU=baseline masks the cpuid probe — the only way to run
 // the SSE2 kernels on AVX2 hardware.
 //
-// Every path produces bit-identical match sets (ascending window indices,
-// identical NaN semantics: a non-wildcard gene rejects NaN, a wildcard
-// accepts anything). Quantization never costs a match: the byte mapping is
-// monotone, so the relaxed byte range is a superset of the gene's exact
-// interval, and every candidate is re-checked with the same double
-// comparisons the scalar kernel uses.
+// Every kernel and SIMD width produces the same match sets as the paper's
+// scalar scan (ascending window indices; a non-wildcard gene rejects NaN, a
+// wildcard accepts anything) — the paper oracle under tests/oracle/ is that
+// scan, and the tests compare every kernel with it. Quantization never costs
+// a match: the byte mapping is monotone, so the relaxed byte range is a
+// superset of the gene's exact interval, and every candidate is re-checked
+// with the double comparisons lo <= v && v <= hi.
 #pragma once
 
 #include <cstddef>
@@ -43,14 +36,13 @@
 
 namespace ef::core {
 
+/// The match path of EvolutionConfig::match_backend. One value: the kernels
+/// above, whose SIMD width cpuid picks.
 enum class MatchBackend {
-  kScalar,  ///< row-wise reference scan
-  kAuto,    ///< production path: prefilter per rule, rule-major per rule set
+  kAuto,  ///< prefilter per rule, rule-major per rule set
 };
 
-[[nodiscard]] constexpr const char* to_string(MatchBackend b) noexcept {
-  return b == MatchBackend::kScalar ? "scalar" : "auto";
-}
+[[nodiscard]] constexpr const char* to_string(MatchBackend) noexcept { return "auto"; }
 
 /// Does this CPU support AVX2? Probed once per process (cpuid via
 /// __builtin_cpu_supports); always false on non-x86 builds. The
@@ -59,10 +51,10 @@ enum class MatchBackend {
 /// hardware), anything else is ignored.
 [[nodiscard]] bool cpu_supports_avx2() noexcept;
 
-/// Returns `configured` unchanged. The first time a given backend is
-/// resolved in this process, a one-time "match.backend_selected" event and
-/// a match.backend.<name>.selected counter record it, so smoke scripts and
-/// efstat can see what training ran.
+/// Returns `configured` unchanged. The first time it is called in this
+/// process, a one-time "match.backend_selected" event (with avx2_supported)
+/// and the match.backend.auto.selected counter record it, so smoke scripts
+/// and efstat can see what training ran.
 [[nodiscard]] MatchBackend resolve_match_backend(MatchBackend configured);
 
 /// The match kernels' view of packed windows: the row-major doubles plus
@@ -116,12 +108,12 @@ struct RulePlanes {
   std::vector<std::uint8_t> qhi;  ///< same layout as qlo
 
   /// Exact bounds, rule-major rows of `padded_genes` entries. Verification is
-  /// pass = wild | (vlo <= v && v <= vhi) per gene — the same double
-  /// comparisons the scalar kernel performs, which the AVX2 verifier runs
-  /// four gene lanes at a time. `wmask` encodes "wildcard" as an all-ones
-  /// double bit pattern (and 0.0 for bounded genes) so the vector verifier
-  /// can OR it straight into the comparison mask; gene lanes past `window`
-  /// are set passing so padded chunks never reject.
+  /// pass = wild | (vlo <= v && v <= vhi) per gene — the paper's double
+  /// comparisons, which the AVX2 verifier runs four gene lanes at a time.
+  /// `wmask` encodes "wildcard" as an all-ones double bit pattern (and 0.0
+  /// for bounded genes) so the vector verifier can OR it straight into the
+  /// comparison mask; gene lanes past `window` are set passing so padded
+  /// chunks never reject.
   std::vector<double> vlo;
   std::vector<double> vhi;
   std::vector<double> wmask;
@@ -151,12 +143,6 @@ struct RulePlanes {
 /// or overlapping ranges.
 namespace matchkern {
 
-/// Row-wise reference scan over row-major packed windows (`rows` is
-/// count × window, window-contiguous per row).
-void scalar_match(const double* rows, std::size_t window,
-                  std::span<const Interval> genes, std::size_t begin, std::size_t end,
-                  std::vector<std::size_t>& out);
-
 /// Prefilter kernel: narrowest non-wildcard gene first as a byte-column
 /// scan, exact verification of the candidates. Requires view.qdata and
 /// view.rows. When `pruned_out` is non-null it accumulates the number of
@@ -172,7 +158,7 @@ void soa_prefilter_match(const LagMajorView& view, std::span<const Interval> gen
 /// [begin, end) in one pass, appending window i to out[r] (ascending; out
 /// must hold planes.rule_count vectors). Requires view.qrows and view.rows;
 /// the SIMD width (AVX2 / SSE2 / scalar) is chosen per call from the cpuid
-/// probe. Bit-identical to running the scalar kernel per rule.
+/// probe. Bit-identical to running the prefilter kernel per rule.
 void rule_major_match(const LagMajorView& view, const RulePlanes& planes,
                       std::size_t begin, std::size_t end,
                       std::vector<std::vector<std::size_t>>& out);

@@ -69,6 +69,12 @@ class PittsburghEngine {
   PittsburghEngine(const WindowDataset& data, PittsburghConfig config,
                    util::ThreadPool* pool = nullptr);
 
+  /// Not copyable or movable: evaluator_ refers to this engine's own engine_
+  /// and rule_eval_config_, so a copy would evaluate through the source's
+  /// members.
+  PittsburghEngine(const PittsburghEngine&) = delete;
+  PittsburghEngine& operator=(const PittsburghEngine&) = delete;
+
   /// One generational replacement. Each offspring costs |rules| rule
   /// evaluations (tracked by evaluations()).
   void step();

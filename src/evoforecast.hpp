@@ -19,9 +19,8 @@
 //
 // Training schedules (sequential vs island-parallel) are one entry point:
 // ef::core::train(data, options) — see TrainOptions. The match hot path
-// (core/match_backend.hpp) runs one production path whose SIMD width cpuid
-// picks, plus a scalar reference scan it is tested against; both produce
-// bit-identical match sets.
+// (core/match_backend.hpp) runs one path whose SIMD width cpuid picks; every
+// width produces the match sets of the paper's scalar interval test.
 //
 // Layering (each header is also individually includable):
 //   obs/       metrics registry, spans, run reports

@@ -49,13 +49,9 @@ SeriesEvaluation evaluate_one(const SeriesRecord& record, const CorpusOptions& o
   const series::TimeSeries eval_part = record.series.slice(split - embed, n);
   const core::WindowDataset eval_data(eval_part, options.train.window,
                                       options.train.horizon, options.train.stride);
-  series::PartialForecast predicted(eval_data.count());
-  std::vector<double> actual(eval_data.count());
-  for (std::size_t i = 0; i < eval_data.count(); ++i) {
-    predicted[i] = trained.system.forecast(eval_data.pattern(i)).as_optional();
-    actual[i] = eval_data.target(i);
-  }
-  out.report = series::evaluate_partial(actual, predicted);
+  const series::PartialForecast predicted =
+      trained.system.forecast_dataset(eval_data, inline_pool);
+  out.report = series::evaluate_partial(eval_data.targets(), predicted);
   out.holdout_points = eval_data.count();
   return out;
 }

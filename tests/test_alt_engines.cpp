@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "core/generational.hpp"
@@ -19,6 +20,17 @@ using ef::core::PittsburghConfig;
 using ef::core::PittsburghEngine;
 using ef::core::WindowDataset;
 using ef::series::TimeSeries;
+
+// Each engine's evaluator refers to the engine's own match engine and config;
+// a copy or move would evaluate through the source's members.
+static_assert(!std::is_copy_constructible_v<GenerationalEngine>);
+static_assert(!std::is_move_constructible_v<GenerationalEngine>);
+static_assert(!std::is_copy_assignable_v<GenerationalEngine>);
+static_assert(!std::is_move_assignable_v<GenerationalEngine>);
+static_assert(!std::is_copy_constructible_v<PittsburghEngine>);
+static_assert(!std::is_move_constructible_v<PittsburghEngine>);
+static_assert(!std::is_copy_assignable_v<PittsburghEngine>);
+static_assert(!std::is_move_assignable_v<PittsburghEngine>);
 
 TimeSeries noisy_sine(std::size_t n) {
   ef::util::Rng rng(31);

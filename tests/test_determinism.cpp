@@ -1,7 +1,8 @@
 // End-to-end determinism: the whole pipeline — generator → dataset →
 // multi-execution training → forecasting → serialisation — must be
 // bit-reproducible from the seeds, including across thread-pool sizes and
-// whether or not tracing is armed.
+// whether or not tracing is armed. That the result is the paper's algorithm
+// is test_oracle.cpp's check (Oracle.*).
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -106,55 +107,6 @@ TEST(Determinism, IndependentOfThreadPoolSize) {
       }
     }
   }
-}
-
-TEST(Determinism, IndependentOfMatchBackend) {
-  // The production path (cpuid-dispatched prefilter and rule-major batched
-  // fitness kernels) produces bit-identical match sets to the scalar
-  // reference, so the trained system must serialise to identical bytes
-  // whichever the config picks.
-  for (const Split& split : splits()) {
-    SCOPED_TRACE(split.name);
-    std::vector<std::string> serialised;
-    for (const ef::core::MatchBackend backend :
-         {ef::core::MatchBackend::kScalar, ef::core::MatchBackend::kAuto}) {
-      auto cfg = small_config();
-      cfg.evolution.match_backend = backend;
-      const auto result = ef::core::train(split.train, {.config = cfg});
-      std::ostringstream buffer;
-      result.system.save(buffer);
-      serialised.push_back(buffer.str());
-    }
-    ASSERT_EQ(serialised.size(), 2u);
-    EXPECT_FALSE(serialised[0].empty());
-    EXPECT_EQ(serialised[0], serialised[1]);
-  }
-}
-
-TEST(Determinism, IslandTrainingBatchedPathMatchesScalar) {
-  // Island-parallel training under the rule-major batched fitness path must
-  // be bit-identical to the same schedule evaluated with the scalar
-  // reference kernel at a fixed seed.
-  const auto mg = ef::series::make_paper_mackey_glass();
-  const WindowDataset train(mg.train, 4, 1);
-  ef::util::ThreadPool pool(4);
-
-  std::vector<std::string> serialised;
-  for (const ef::core::MatchBackend backend :
-       {ef::core::MatchBackend::kScalar, ef::core::MatchBackend::kAuto}) {
-    auto cfg = small_config();
-    cfg.evolution.match_backend = backend;
-    const auto result =
-        ef::core::train(train, {.config = cfg,
-                                .pool = &pool,
-                                .parallelism = ef::core::TrainParallelism::kIslands});
-    std::ostringstream buffer;
-    result.system.save(buffer);
-    serialised.push_back(buffer.str());
-  }
-  ASSERT_EQ(serialised.size(), 2u);
-  EXPECT_FALSE(serialised[0].empty());
-  EXPECT_EQ(serialised[0], serialised[1]);
 }
 
 TEST(Determinism, IndependentOfArmedTracing) {

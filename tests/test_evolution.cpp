@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <type_traits>
 #include <vector>
 
 #include "series/mackey_glass.hpp"
@@ -19,6 +20,13 @@ using ef::core::EvolutionConfig;
 using ef::core::SteadyStateEngine;
 using ef::core::WindowDataset;
 using ef::series::TimeSeries;
+
+// The engine's evaluator refers to the engine's own match engine and config;
+// a copy or move would evaluate through the source's members.
+static_assert(!std::is_copy_constructible_v<SteadyStateEngine>);
+static_assert(!std::is_move_constructible_v<SteadyStateEngine>);
+static_assert(!std::is_copy_assignable_v<SteadyStateEngine>);
+static_assert(!std::is_move_assignable_v<SteadyStateEngine>);
 
 TimeSeries noisy_sine(std::size_t n, double noise, std::uint64_t seed = 123) {
   ef::util::Rng rng(seed);

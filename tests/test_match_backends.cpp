@@ -1,8 +1,8 @@
-// Property tests for the match paths: both MatchEngine backends (kScalar and
-// the production kAuto) and the kernels they dispatch to — the prefilter at
-// each SIMD width, the rule-major batch kernel — must produce exactly the
-// same ascending index set as the scalar serial reference
-// (match_indices_serial), across wildcard densities, window sizes,
+// Property tests for the match paths: MatchEngine and the kernels it
+// dispatches to — the prefilter at each SIMD width, the rule-major batch
+// kernel — must produce exactly the same ascending index set as the paper
+// oracle's scalar scan (tests/oracle/paper_oracle.hpp, over windows it builds
+// from the raw series), across wildcard densities, window sizes,
 // selectivities, and datasets large enough to trigger the parallel chunked
 // path. Bit-identical match sets are the contract that lets cpuid pick the
 // kernel.
@@ -16,6 +16,7 @@
 
 #include "core/match_backend.hpp"
 #include "core/match_engine.hpp"
+#include "oracle/paper_oracle.hpp"
 #include "series/timeseries.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -23,13 +24,10 @@
 namespace {
 
 using ef::core::Interval;
-using ef::core::MatchBackend;
 using ef::core::MatchEngine;
 using ef::core::Rule;
 using ef::core::WindowDataset;
 using ef::series::TimeSeries;
-
-constexpr MatchBackend kAllBackends[] = {MatchBackend::kScalar, MatchBackend::kAuto};
 
 TimeSeries random_series(std::size_t n, std::uint64_t seed) {
   ef::util::Rng rng(seed);
@@ -82,35 +80,33 @@ void expect_prefilter_widths_match(const WindowDataset& data, const Rule& rule,
   }
 }
 
-void expect_backends_match_reference(const WindowDataset& data, const Rule& rule,
-                                     ef::util::ThreadPool* pool, const char* what) {
-  const MatchEngine reference(data);
-  const std::vector<std::size_t> expected = reference.match_indices_serial(rule);
-  for (const MatchBackend backend : kAllBackends) {
-    const MatchEngine engine(data, pool, backend);
-    EXPECT_EQ(engine.match_indices(rule), expected)
-        << what << " backend=" << ef::core::to_string(backend);
-  }
+/// Per-rule contract: MatchEngine::match_indices and the prefilter kernel
+/// at both widths return the oracle's match set over the same series.
+void expect_engine_matches_oracle(const TimeSeries& s, const WindowDataset& data,
+                                  const Rule& rule, ef::util::ThreadPool* pool,
+                                  const char* what) {
+  const ef::oracle::Windows w =
+      ef::oracle::make_windows(s.values(), data.window(), data.horizon());
+  const std::vector<std::size_t> expected = ef::oracle::match(rule.genes(), w);
+  const MatchEngine engine(data, pool);
+  EXPECT_EQ(engine.match_indices(rule), expected) << what;
   if (rule.genes().size() == data.window()) {
     expect_prefilter_widths_match(data, rule, expected, what);
   }
 }
 
-/// Batched contract: match_all(rules)[r] must equal the scalar serial
-/// reference of rules[r] under both backends (kAuto runs the rule-major
-/// kernel; kScalar loops per rule — both must agree bit-for-bit).
-void expect_match_all_matches_reference(const WindowDataset& data,
-                                        const std::vector<Rule>& rules,
-                                        ef::util::ThreadPool* pool, const char* what) {
-  const MatchEngine reference(data);
-  for (const MatchBackend backend : kAllBackends) {
-    const MatchEngine engine(data, pool, backend);
-    const auto got = engine.match_all(rules);
-    ASSERT_EQ(got.size(), rules.size()) << what;
-    for (std::size_t r = 0; r < rules.size(); ++r) {
-      EXPECT_EQ(got[r], reference.match_indices_serial(rules[r]))
-          << what << " backend=" << ef::core::to_string(backend) << " rule=" << r;
-    }
+/// Batched contract: match_all(rules)[r] (the rule-major kernel) must equal
+/// the oracle's match set of rules[r].
+void expect_match_all_matches_oracle(const TimeSeries& s, const WindowDataset& data,
+                                     const std::vector<Rule>& rules,
+                                     ef::util::ThreadPool* pool, const char* what) {
+  const ef::oracle::Windows w =
+      ef::oracle::make_windows(s.values(), data.window(), data.horizon());
+  const MatchEngine engine(data, pool);
+  const auto got = engine.match_all(rules);
+  ASSERT_EQ(got.size(), rules.size()) << what;
+  for (std::size_t r = 0; r < rules.size(); ++r) {
+    EXPECT_EQ(got[r], ef::oracle::match(rules[r].genes(), w)) << what << " rule=" << r;
   }
 }
 
@@ -122,8 +118,8 @@ TEST(MatchBackends, AgreeAcrossWildcardDensitiesAndWindows) {
     std::uint64_t seed = 1000 * window;
     for (const double wc : {0.0, 0.2, 0.5, 1.0}) {
       for (int trial = 0; trial < 8; ++trial) {
-        expect_backends_match_reference(data, random_rule(window, wc, ++seed), nullptr,
-                                        "small");
+        expect_engine_matches_oracle(s, data, random_rule(window, wc, ++seed), nullptr,
+                                     "small");
       }
     }
   }
@@ -131,15 +127,14 @@ TEST(MatchBackends, AgreeAcrossWildcardDensitiesAndWindows) {
 
 TEST(MatchBackends, AgreeOnParallelChunkedPath) {
   // > 4096 windows and an explicit multi-worker pool: the chunked parallel
-  // path must concatenate per-chunk results in dataset order for both
-  // backends.
+  // path must concatenate per-chunk results in dataset order.
   const TimeSeries s = random_series(20000, 29);
   const WindowDataset data(s, 4, 1);
   ef::util::ThreadPool pool(4);
   std::uint64_t seed = 500;
   for (const double wc : {0.0, 0.2, 0.5, 1.0}) {
     for (int trial = 0; trial < 4; ++trial) {
-      expect_backends_match_reference(data, random_rule(4, wc, ++seed), &pool, "parallel");
+      expect_engine_matches_oracle(s, data, random_rule(4, wc, ++seed), &pool, "parallel");
     }
   }
 }
@@ -148,12 +143,9 @@ TEST(MatchBackends, AllWildcardRuleMatchesEverything) {
   const TimeSeries s = random_series(5000, 3);
   const WindowDataset data(s, 5, 1);
   const Rule rule(std::vector<Interval>(5, Interval::wildcard()));
-  for (const MatchBackend backend : kAllBackends) {
-    const MatchEngine engine(data, nullptr, backend);
-    EXPECT_EQ(engine.match_indices(rule).size(), data.count())
-        << ef::core::to_string(backend);
-  }
-  expect_backends_match_reference(data, rule, nullptr, "all-wildcard");
+  const MatchEngine engine(data);
+  EXPECT_EQ(engine.match_indices(rule).size(), data.count());
+  expect_engine_matches_oracle(s, data, rule, nullptr, "all-wildcard");
 }
 
 TEST(MatchBackends, EmptyMatchSetAgrees) {
@@ -163,11 +155,9 @@ TEST(MatchBackends, EmptyMatchSetAgrees) {
   std::vector<Interval> genes(3, Interval::wildcard());
   genes[1] = Interval(2.0, 3.0);
   const Rule rule(std::move(genes));
-  for (const MatchBackend backend : kAllBackends) {
-    const MatchEngine engine(data, nullptr, backend);
-    EXPECT_TRUE(engine.match_indices(rule).empty()) << ef::core::to_string(backend);
-  }
-  expect_backends_match_reference(data, rule, nullptr, "empty");
+  const MatchEngine engine(data);
+  EXPECT_TRUE(engine.match_indices(rule).empty());
+  expect_engine_matches_oracle(s, data, rule, nullptr, "empty");
 }
 
 TEST(MatchBackends, DimensionMismatchMatchesNothing) {
@@ -175,11 +165,9 @@ TEST(MatchBackends, DimensionMismatchMatchesNothing) {
   const WindowDataset data(s, 4, 1);
   const Rule narrow(std::vector<Interval>(3, Interval::wildcard()));
   const Rule wide(std::vector<Interval>(6, Interval::wildcard()));
-  for (const MatchBackend backend : kAllBackends) {
-    const MatchEngine engine(data, nullptr, backend);
-    EXPECT_TRUE(engine.match_indices(narrow).empty()) << ef::core::to_string(backend);
-    EXPECT_TRUE(engine.match_indices(wide).empty()) << ef::core::to_string(backend);
-  }
+  const MatchEngine engine(data);
+  EXPECT_TRUE(engine.match_indices(narrow).empty());
+  EXPECT_TRUE(engine.match_indices(wide).empty());
 }
 
 TEST(MatchBackends, NanSemanticsAgreeAtKernelLevel) {
@@ -217,14 +205,13 @@ TEST(MatchBackends, NanSemanticsAgreeAtKernelLevel) {
   for (const double wc : {0.0, 0.5, 1.0}) {
     for (int trial = 0; trial < 8; ++trial) {
       const Rule rule = random_rule(kWindow, wc, ++seed);
-      std::vector<std::size_t> scalar_out;
-      ef::core::matchkern::scalar_match(rows.data(), kWindow, rule.genes(), 0, kCount,
-                                        scalar_out);
+      const std::vector<std::size_t> oracle_out =
+          ef::oracle::match_rows(rule.genes(), rows.data(), kCount, kWindow);
       for (const bool avx2 : {false, true}) {
         std::vector<std::size_t> prefilter_out;
         ef::core::matchkern::soa_prefilter_match(view, rule.genes(), 0, kCount,
                                                  prefilter_out, nullptr, avx2);
-        EXPECT_EQ(prefilter_out, scalar_out)
+        EXPECT_EQ(prefilter_out, oracle_out)
             << "wc=" << wc << " trial=" << trial << " avx2=" << avx2;
       }
       // Any row containing NaN must be absent unless every NaN lag is
@@ -232,8 +219,8 @@ TEST(MatchBackends, NanSemanticsAgreeAtKernelLevel) {
       for (const std::size_t i : {std::size_t{5}, std::size_t{20}, std::size_t{33}}) {
         const std::size_t nan_lag = i == 5 ? 1 : (i == 20 ? 0 : 2);
         if (!rule.genes()[nan_lag].is_wildcard()) {
-          EXPECT_TRUE(std::find(scalar_out.begin(), scalar_out.end(), i) ==
-                      scalar_out.end())
+          EXPECT_TRUE(std::find(oracle_out.begin(), oracle_out.end(), i) ==
+                      oracle_out.end())
               << "row " << i << " with NaN at bounded lag matched";
         }
       }
@@ -253,7 +240,7 @@ TEST(MatchBackends, RuleMajorBatchAgreesOnRandomRuleSets) {
     for (std::size_t r = 0; r < n_rules; ++r) {
       rules.push_back(random_rule(5, 0.25 * static_cast<double>(r % 5), ++seed));
     }
-    expect_match_all_matches_reference(data, rules, nullptr, "random-set");
+    expect_match_all_matches_oracle(s, data, rules, nullptr, "random-set");
   }
 }
 
@@ -263,7 +250,7 @@ TEST(MatchBackends, RuleMajorBatchEdgeCases) {
   ef::util::ThreadPool pool(4);
 
   // Empty rule set: no planes, no output.
-  expect_match_all_matches_reference(data, {}, nullptr, "empty-set");
+  expect_match_all_matches_oracle(s, data, {}, nullptr, "empty-set");
 
   std::vector<Rule> rules;
   // All-genes-wildcard (matches everything), impossible interval (matches
@@ -280,9 +267,9 @@ TEST(MatchBackends, RuleMajorBatchEdgeCases) {
   std::uint64_t seed = 8100;
   for (int r = 0; r < 40; ++r) rules.push_back(random_rule(4, 0.3, ++seed));
 
-  // Serial and parallel chunked paths must both agree with the reference.
-  expect_match_all_matches_reference(data, rules, nullptr, "edge-serial");
-  expect_match_all_matches_reference(data, rules, &pool, "edge-parallel");
+  // Serial and parallel chunked paths must both agree with the oracle.
+  expect_match_all_matches_oracle(s, data, rules, nullptr, "edge-serial");
+  expect_match_all_matches_oracle(s, data, rules, &pool, "edge-parallel");
 }
 
 TEST(MatchBackends, RuleMajorKernelNanSemantics) {
@@ -290,7 +277,7 @@ TEST(MatchBackends, RuleMajorKernelNanSemantics) {
   // probes the kernel layer directly): quantized mirrors are built with the
   // same monotone map the dataset uses, NaN quantizing to 0. A bounded gene
   // must reject NaN rows, a wildcard must accept them — identically to the
-  // scalar reference.
+  // oracle's scan.
   constexpr std::size_t kWindow = 3;
   constexpr std::size_t kCount = 64;
   ef::util::Rng rng(23);
@@ -328,10 +315,8 @@ TEST(MatchBackends, RuleMajorKernelNanSemantics) {
       std::vector<std::vector<std::size_t>> got(rules.size());
       ef::core::matchkern::rule_major_match(view, planes, 0, kCount, got);
       for (std::size_t r = 0; r < rules.size(); ++r) {
-        std::vector<std::size_t> expected;
-        ef::core::matchkern::scalar_match(rows.data(), kWindow, rules[r].genes(), 0,
-                                          kCount, expected);
-        EXPECT_EQ(got[r], expected) << "wc=" << wc << " trial=" << trial << " rule=" << r;
+        EXPECT_EQ(got[r], ef::oracle::match_rows(rules[r].genes(), rows.data(), kCount, kWindow))
+            << "wc=" << wc << " trial=" << trial << " rule=" << r;
       }
     }
   }

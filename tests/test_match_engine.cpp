@@ -1,5 +1,6 @@
-// Tests for core/match_engine.hpp: parallel path must agree bit-for-bit with
-// the serial reference on datasets large enough to trigger chunking.
+// Tests for core/match_engine.hpp: serial and parallel paths must agree
+// bit-for-bit with the paper oracle's scalar scan, including on datasets
+// large enough to trigger chunking.
 #include "core/match_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -7,6 +8,7 @@
 #include <numeric>
 #include <vector>
 
+#include "oracle/paper_oracle.hpp"
 #include "series/timeseries.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -43,6 +45,13 @@ Rule random_rule(std::size_t d, std::uint64_t seed) {
   return Rule(std::move(genes));
 }
 
+/// The oracle's match set of `rule` over the same series and embedding.
+std::vector<std::size_t> oracle_matches(const TimeSeries& s, const WindowDataset& data,
+                                        const Rule& rule) {
+  return ef::oracle::match(rule.genes(),
+                           ef::oracle::make_windows(s.values(), data.window(), data.horizon()));
+}
+
 TEST(MatchEngine, SerialFindsKnownMatches) {
   // Ramp 0..19, rule: first value in [3,5] → windows starting at 3,4,5.
   std::vector<double> v(20);
@@ -51,8 +60,8 @@ TEST(MatchEngine, SerialFindsKnownMatches) {
   const WindowDataset data(s, 2, 1);
   const MatchEngine engine(data);
   const Rule r({Interval(3, 5), Interval::wildcard()});
-  const auto matches = engine.match_indices_serial(r);
-  EXPECT_EQ(matches, (std::vector<std::size_t>{3, 4, 5}));
+  EXPECT_EQ(engine.match_indices(r), (std::vector<std::size_t>{3, 4, 5}));
+  EXPECT_EQ(oracle_matches(s, data, r), (std::vector<std::size_t>{3, 4, 5}));
 }
 
 TEST(MatchEngine, DimensionMismatchMatchesNothing) {
@@ -72,9 +81,7 @@ TEST(MatchEngine, ParallelAgreesWithSerialLargeDataset) {
 
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     const Rule r = random_rule(8, 100 + seed);
-    const auto serial = engine.match_indices_serial(r);
-    const auto parallel = engine.match_indices(r);
-    ASSERT_EQ(parallel, serial) << "rule seed " << seed;
+    ASSERT_EQ(engine.match_indices(r), oracle_matches(s, data, r)) << "rule seed " << seed;
   }
 }
 
@@ -112,7 +119,7 @@ TEST(MatchEngine, SmallDatasetUsesSerialPathCorrectly) {
   ef::util::ThreadPool pool(4);
   const MatchEngine engine(data, &pool);
   const Rule r = random_rule(3, 8);
-  EXPECT_EQ(engine.match_indices(r), engine.match_indices_serial(r));
+  EXPECT_EQ(engine.match_indices(r), oracle_matches(s, data, r));
 }
 
 TEST(MatchEngine, NullPoolUsesSharedPool) {
@@ -120,7 +127,7 @@ TEST(MatchEngine, NullPoolUsesSharedPool) {
   const WindowDataset data(s, 4, 1);
   const MatchEngine engine(data, nullptr);
   const Rule r = random_rule(4, 9);
-  EXPECT_EQ(engine.match_indices(r), engine.match_indices_serial(r));
+  EXPECT_EQ(engine.match_indices(r), oracle_matches(s, data, r));
 }
 
 }  // namespace

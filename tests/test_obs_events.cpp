@@ -229,49 +229,44 @@ TEST(EventBridge, MatchBackendResolutionEmitsSelectionEvent) {
 #if !EVOFORECAST_OBS_ENABLED
   GTEST_SKIP() << "events compiled out (EVOFORECAST_OBS=OFF)";
 #else
-  // The breadcrumb fires once per backend per process. ctest runs each test
-  // in a process of its own; in a whole-binary run an earlier test may have
-  // resolved the same backend already, which its counter shows.
+  // The breadcrumb fires once per process. ctest runs each test in a process
+  // of its own; in a whole-binary run an earlier test may have resolved the
+  // backend already, which its counter shows.
   using ef::core::MatchBackend;
   auto& registry = ef::obs::Registry::global();
-  const auto counter_name = [](MatchBackend b) {
-    return std::string("match.backend.") + ef::core::to_string(b) + ".selected";
-  };
-  for (const MatchBackend b : {MatchBackend::kScalar, MatchBackend::kAuto}) {
-    if (registry.counter(counter_name(b)).value() != 0) {
-      GTEST_SKIP() << ef::core::to_string(b) << " was resolved earlier in this process";
-    }
+  const MatchBackend b = MatchBackend::kAuto;
+  const std::string counter_name =
+      std::string("match.backend.") + ef::core::to_string(b) + ".selected";
+  if (registry.counter(counter_name).value() != 0) {
+    GTEST_SKIP() << "the backend was resolved earlier in this process";
   }
 
-  for (const MatchBackend b : {MatchBackend::kScalar, MatchBackend::kAuto}) {
-    SCOPED_TRACE(ef::core::to_string(b));
-    EXPECT_EQ(ef::core::resolve_match_backend(b), b);
-    EXPECT_EQ(registry.counter(counter_name(b)).value(), 1u);
-    // Resolving again changes nothing: the breadcrumb is one-time.
-    EXPECT_EQ(ef::core::resolve_match_backend(b), b);
-    EXPECT_EQ(registry.counter(counter_name(b)).value(), 1u);
+  EXPECT_EQ(ef::core::resolve_match_backend(b), b);
+  EXPECT_EQ(registry.counter(counter_name).value(), 1u);
+  // Resolving again changes nothing: the breadcrumb is one-time.
+  EXPECT_EQ(ef::core::resolve_match_backend(b), b);
+  EXPECT_EQ(registry.counter(counter_name).value(), 1u);
 
-    const Event* found = nullptr;
-    const auto events = EventLog::global().recent();
-    for (const Event& e : events) {
-      if (e.kind != "match.backend_selected") continue;
-      for (const EventField& field : e.fields) {
-        if (field.key == "backend" && field.s == ef::core::to_string(b)) found = &e;
-      }
+  const Event* found = nullptr;
+  const auto events = EventLog::global().recent();
+  for (const Event& e : events) {
+    if (e.kind != "match.backend_selected") continue;
+    for (const EventField& field : e.fields) {
+      if (field.key == "backend" && field.s == ef::core::to_string(b)) found = &e;
     }
-    ASSERT_NE(found, nullptr) << "no match.backend_selected event";
-    bool has_avx2 = false;
-    for (const EventField& field : found->fields) {
-      if (field.key == "avx2_supported") {
-        has_avx2 = true;
-        EXPECT_EQ(field.kind, EventField::Kind::kBool);
-        EXPECT_EQ(field.b, ef::core::cpu_supports_avx2());
-      }
-    }
-    EXPECT_TRUE(has_avx2);
-    const auto json = parse_line(found->to_json());
-    EXPECT_TRUE(json.count("backend") == 1 && json.count("avx2_supported") == 1);
   }
+  ASSERT_NE(found, nullptr) << "no match.backend_selected event";
+  bool has_avx2 = false;
+  for (const EventField& field : found->fields) {
+    if (field.key == "avx2_supported") {
+      has_avx2 = true;
+      EXPECT_EQ(field.kind, EventField::Kind::kBool);
+      EXPECT_EQ(field.b, ef::core::cpu_supports_avx2());
+    }
+  }
+  EXPECT_TRUE(has_avx2);
+  const auto json = parse_line(found->to_json());
+  EXPECT_TRUE(json.count("backend") == 1 && json.count("avx2_supported") == 1);
 #endif
 }
 
