@@ -126,19 +126,6 @@ const ef::core::RuleSystem& query_system() {
   return system;
 }
 
-void BM_RuleSystemQuery(benchmark::State& state) {
-  const auto& data = venice_dataset(10000);
-  const auto& system = query_system();
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(system.forecast(data.pattern(i)).as_optional());
-    i = (i + 1) % data.count();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(system.size()));
-}
-BENCHMARK(BM_RuleSystemQuery)->Unit(benchmark::kMicrosecond);
-
 /// The serving path: single-window forecasts over planes compiled once.
 void BM_CompiledQuery(benchmark::State& state) {
   const auto& data = venice_dataset(10000);

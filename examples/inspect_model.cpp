@@ -86,10 +86,11 @@ int main(int argc, char** argv) {
     // Vote distribution: how many rules typically agree on a window?
     std::size_t max_votes = 0;
     double mean_votes = 0.0;
-    for (std::size_t i = 0; i < data.count(); ++i) {
-      const std::size_t votes = system.vote_count(data.pattern(i));
-      max_votes = std::max(max_votes, votes);
-      mean_votes += static_cast<double>(votes);
+    const auto predictions = system.forecast_batch(
+        {data.pattern(0).data(), data.count() * window}, window);
+    for (const ef::core::Prediction& p : predictions) {
+      max_votes = std::max(max_votes, p.votes);
+      mean_votes += static_cast<double>(p.votes);
     }
     mean_votes /= static_cast<double>(data.count());
     std::printf("  votes per covered window: mean %.1f, max %zu (of %zu rules)\n",

@@ -51,11 +51,10 @@ int main() {
   };
   std::vector<RuleUse> usage(result.system.size());
   for (std::size_t r = 0; r < usage.size(); ++r) usage[r].index = r;
+  std::vector<std::vector<std::size_t>> voters(validation.count());
   for (std::size_t i = 0; i < validation.count(); ++i) {
-    const auto w = validation.pattern(i);
-    for (std::size_t r = 0; r < result.system.size(); ++r) {
-      if (result.system.rules()[r].matches(w)) ++usage[r].votes;
-    }
+    voters[i] = result.system.voters(validation.pattern(i));
+    for (const std::size_t r : voters[i]) ++usage[r].votes;
   }
   std::sort(usage.begin(), usage.end(),
             [](const RuleUse& a, const RuleUse& b) { return a.votes > b.votes; });
@@ -79,9 +78,7 @@ int main() {
   std::vector<std::size_t> high_rules;
   for (std::size_t i = 0; i < validation.count(); ++i) {
     const double target = validation.target(i);
-    const auto w = validation.pattern(i);
-    for (std::size_t r = 0; r < result.system.size(); ++r) {
-      if (!result.system.rules()[r].matches(w)) continue;
+    for (const std::size_t r : voters[i]) {
       if (target < lo_cut) low_rules.push_back(r);
       if (target > hi_cut) high_rules.push_back(r);
     }

@@ -26,7 +26,8 @@ int json_roundtrip(const std::uint8_t* data, std::size_t size);
 
 /// core::RuleSystem::load on hostile .efr bytes: throws std::runtime_error
 /// or yields a system that survives save/load and a forecast, and whose
-/// compiled single-window forecast equals the reference scan.
+/// compiled single-window forecast equals a scalar vote written out in the
+/// harness.
 int efr_load(const std::uint8_t* data, std::size_t size);
 
 /// fleet::FleetReader::from_bytes on hostile .efr v2 container bytes: throws

@@ -70,14 +70,8 @@ double vote_bound(std::span<const Vote> votes, double value) {
   return bound;
 }
 
-std::vector<Vote> collect_votes(std::span<const Rule> rules,
-                                std::span<const double> window) {
-  std::vector<Vote> votes;
-  for (const Rule& rule : rules) {
-    if (!rule.predicting() || !rule.matches(window)) continue;
-    votes.push_back(Vote{rule.forecast(window), rule.fitness(), rule.predicting()->error()});
-  }
-  return votes;
+Vote vote_of(const Rule& rule, std::span<const double> window) {
+  return Vote{rule.forecast(window), rule.fitness(), rule.predicting()->error()};
 }
 
 }  // namespace ef::core

@@ -59,8 +59,8 @@ struct Vote {
 /// (callers gate on abstention first).
 [[nodiscard]] double vote_bound(std::span<const Vote> votes, double value);
 
-/// Collect the votes of every rule in `rules` that matches `window`.
-[[nodiscard]] std::vector<Vote> collect_votes(std::span<const Rule> rules,
-                                              std::span<const double> window);
+/// A predicting rule's vote on a window it matches: its hyperplane output,
+/// fitness and e_R. Every forecast path builds its votes through this.
+[[nodiscard]] Vote vote_of(const Rule& rule, std::span<const double> window);
 
 }  // namespace ef::core

@@ -4,6 +4,8 @@
 #include <limits>
 #include <vector>
 
+#include "core/match_engine.hpp"
+
 namespace ef::core {
 
 bool condition_subsumed(const Rule& inner, const Rule& outer) {
@@ -68,13 +70,9 @@ RuleSystem compact(const RuleSystem& system, CompactionReport& report,
 
   // Pass 3: rules that never fire on the reference dataset.
   if (options.drop_unfired && reference) {
+    const auto fired = MatchEngine(*reference).match_all(rules);
     for (std::size_t i = 0; i < rules.size(); ++i) {
-      if (dropped[i]) continue;
-      bool fires = false;
-      for (std::size_t w = 0; w < reference->count() && !fires; ++w) {
-        fires = rules[i].matches(reference->pattern(w));
-      }
-      if (!fires) {
+      if (!dropped[i] && fired[i].empty()) {
         dropped[i] = true;
         ++report.unfired_removed;
       }

@@ -8,20 +8,14 @@ namespace ef::core {
 ForecastExplanation explain(const RuleSystem& system, std::span<const double> window,
                             Aggregation how) {
   ForecastExplanation explanation;
-  const auto& rules = system.rules();
   std::vector<Vote> votes;
-  for (std::size_t r = 0; r < rules.size(); ++r) {
-    const Rule& rule = rules[r];
-    if (!rule.predicting() || !rule.matches(window)) continue;
-    RuleExplanation voter;
-    voter.rule_index = r;
-    voter.output = rule.forecast(window);
-    voter.fitness = rule.fitness();
-    voter.error = rule.predicting()->error();
-    voter.matches = rule.predicting()->matches;
-    voter.specificity = rule.specificity();
-    explanation.voters.push_back(voter);
-    votes.push_back(Vote{voter.output, voter.fitness, voter.error});
+  for (const std::size_t r : system.voters(window)) {
+    const Rule& rule = system.rules()[r];
+    const Vote vote = vote_of(rule, window);
+    explanation.voters.push_back(RuleExplanation{r, vote.value, vote.fitness, vote.error,
+                                                 rule.predicting()->matches,
+                                                 rule.specificity()});
+    votes.push_back(vote);
   }
   explanation.forecast = aggregate_votes(std::move(votes), how);
   return explanation;

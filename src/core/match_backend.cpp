@@ -602,7 +602,9 @@ void soa_prefilter_match(const LagMajorView& view, std::span<const Interval> gen
 
 void rule_major_match(const LagMajorView& view, const RulePlanes& planes, std::size_t begin,
                       std::size_t end, std::vector<std::vector<std::size_t>>& out) {
-  if (planes.rule_count == 0 || begin >= end) return;
+  // Zero-lag planes have no byte plane to reject padding or inactive lanes
+  // with, so they match nothing (no rule of the paper has zero genes).
+  if (planes.rule_count == 0 || planes.window == 0 || begin >= end) return;
 #if EF_MATCH_X86
   if (cpu_supports_avx2()) {
     rule_major_avx2(view, planes, begin, end, out);

@@ -158,7 +158,8 @@ void soa_prefilter_match(const LagMajorView& view, std::span<const Interval> gen
 /// [begin, end) in one pass, appending window i to out[r] (ascending; out
 /// must hold planes.rule_count vectors). Requires view.qrows and view.rows;
 /// the SIMD width (AVX2 / SSE2 / scalar) is chosen per call from the cpuid
-/// probe. Bit-identical to running the prefilter kernel per rule.
+/// probe. Bit-identical to running the prefilter kernel per rule. Planes of
+/// zero lags match nothing, so an empty window never has voters.
 void rule_major_match(const LagMajorView& view, const RulePlanes& planes,
                       std::size_t begin, std::size_t end,
                       std::vector<std::vector<std::size_t>>& out);

@@ -30,6 +30,18 @@ struct MultistepOptions {
   Aggregation aggregation = Aggregation::kMean;
 };
 
+/// The chain loop of every entry below and of serve's horizon > 1 replies:
+/// `steps` forecasts over `planes` (compiled from `one_step`), each fed back
+/// as the newest lag; `values`, when set, receives every step's value.
+/// Returns the last step's Prediction with bound −1 (a one-step bound does
+/// not compose). An abstaining step ends the chain as an abstention under
+/// kAbstain, or is bridged with the last value (0 votes) under kPersistence.
+/// Zero steps abstain; an empty window throws std::invalid_argument.
+[[nodiscard]] Prediction iterate_chain(const RuleSystem& one_step, const RulePlanes& planes,
+                                       std::span<const double> window, std::size_t steps,
+                                       ChainAbstention on_abstain, Aggregation how,
+                                       std::vector<double>* values = nullptr);
+
 /// Iterate a one-step rule system `options.horizon` steps from `window`
 /// (the D most recent values, consecutive — stride-1 systems only; throws
 /// std::invalid_argument when horizon == 0 or window is empty).

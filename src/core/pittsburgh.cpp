@@ -118,22 +118,26 @@ void PittsburghEngine::evaluate_individual(RuleSetIndividual& individual) {
     ++evaluations_;
   }
 
+  // One match pass for the whole set; each window's votes are summed in
+  // ascending rule order.
+  const auto matched = engine_.match_all(individual.rules);
+  std::vector<double> vote_sum(data_.count(), 0.0);
+  std::vector<std::size_t> votes(data_.count(), 0);
+  for (std::size_t r = 0; r < individual.rules.size(); ++r) {
+    for (const std::size_t i : matched[r]) {
+      vote_sum[i] += individual.rules[r].forecast(data_.pattern(i));
+      ++votes[i];
+    }
+  }
+
   double fitness = 0.0;
   double abs_err_sum = 0.0;
   std::size_t covered = 0;
   for (std::size_t i = 0; i < data_.count(); ++i) {
-    const auto window = data_.pattern(i);
-    double vote_sum = 0.0;
-    std::size_t votes = 0;
-    for (const Rule& rule : individual.rules) {
-      if (rule.matches(window)) {
-        vote_sum += rule.forecast(window);
-        ++votes;
-      }
-    }
-    if (votes == 0) continue;
+    if (votes[i] == 0) continue;
     ++covered;
-    const double err = std::abs(vote_sum / static_cast<double>(votes) - data_.target(i));
+    const double err =
+        std::abs(vote_sum[i] / static_cast<double>(votes[i]) - data_.target(i));
     abs_err_sum += err;
     fitness += config_.emax - err;
   }

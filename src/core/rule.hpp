@@ -35,7 +35,8 @@ struct PredictingPart {
 };
 
 /// One rule. Invariant: genes().size() == D of the dataset it is evaluated
-/// against; the predicting part is present only after evaluation.
+/// against; the predicting part is present only after evaluation. Matching
+/// is asked of the kernels (MatchEngine, RuleSystem::voters).
 class Rule {
  public:
   Rule() = default;
@@ -44,15 +45,6 @@ class Rule {
   [[nodiscard]] std::size_t window() const noexcept { return genes_.size(); }
   [[nodiscard]] const std::vector<Interval>& genes() const noexcept { return genes_; }
   [[nodiscard]] std::vector<Interval>& genes() noexcept { return genes_; }
-
-  /// Does this rule's conditional part accept the window? (paper: X_i fits C_R)
-  [[nodiscard]] bool matches(std::span<const double> window_values) const noexcept {
-    if (window_values.size() != genes_.size()) return false;
-    for (std::size_t i = 0; i < genes_.size(); ++i) {
-      if (!genes_[i].contains(window_values[i])) return false;
-    }
-    return true;
-  }
 
   /// Predicting part; empty until the rule has been evaluated.
   [[nodiscard]] const std::optional<PredictingPart>& predicting() const noexcept {

@@ -37,9 +37,14 @@ inline void note_prediction(std::size_t votes) {
 #endif
 }
 
-/// One window's Prediction from its vote set — the tail every forecast path
-/// shares. The bound is derived from the same votes the value came from.
-Prediction predict(const std::vector<Vote>& votes, Aggregation how) {
+/// One window's Prediction from the ascending indices of the rules voting
+/// on it — the tail every forecast path shares, and the one place votes are
+/// built. The bound is derived from the same votes the value came from.
+Prediction predict(std::span<const Rule> rules, std::span<const std::size_t> voters,
+                   std::span<const double> window, Aggregation how) {
+  thread_local std::vector<Vote> votes;
+  votes.clear();
+  for (const std::size_t r : voters) votes.push_back(vote_of(rules[r], window));
   note_prediction(votes.size());
   Prediction out;
   out.votes = votes.size();
@@ -77,31 +82,31 @@ std::optional<std::pair<double, double>> gene_value_range(std::span<const Rule> 
 }
 
 /// Windows per kernel call. Bounds the per-thread scratch below (one match
-/// list per rule, one vote list per window), which lives as long as its
+/// list per rule, one voter list per window), which lives as long as its
 /// thread, whatever range the caller asks for: with 256 a 372-rule coverage
 /// scan left ~1 MB on every pool worker.
 constexpr std::size_t kVoteBlock = 64;
 
-/// Per-thread scratch of the vote kernel, reused across calls so a
+/// Per-thread scratch of the match helper, reused across calls so a
 /// single-window forecast allocates nothing once warm.
-struct VoteScratch {
+struct VoterScratch {
   std::vector<std::vector<std::size_t>> matched;  ///< per rule: block-relative windows
-  std::vector<std::vector<Vote>> votes;           ///< per window of the block
+  std::vector<std::vector<std::size_t>> voters;   ///< per window of the block: rules
   std::vector<std::uint8_t> qrows;                ///< the block through the planes' map
 };
 
-/// The one match path of every compiled entry: windows [begin, end) of the
+/// The one match path of every rule-set query: windows [begin, end) of the
 /// row-major `rows` (planes.window lags each) run through the rule-major
-/// kernel in blocks, and each window's votes reach `emit` in ascending rule
-/// order — exactly the list collect_votes builds, hence identical
-/// aggregation under every strategy.
-void for_each_vote_set(std::span<const Rule> rules, const RulePlanes& planes,
-                       const double* rows, std::size_t begin, std::size_t end,
-                       util::FunctionRef<void(std::size_t, const std::vector<Vote>&)> emit) {
-  thread_local VoteScratch s;
+/// kernel in blocks, and each window's matching rules reach `emit` as
+/// ascending rule indices — the paper's match set, in the order its votes
+/// are aggregated.
+void for_each_voter_set(
+    const RulePlanes& planes, const double* rows, std::size_t begin, std::size_t end,
+    util::FunctionRef<void(std::size_t, std::span<const std::size_t>)> emit) {
+  thread_local VoterScratch s;
   const std::size_t d = planes.window;
   if (s.matched.size() < planes.rule_count) s.matched.resize(planes.rule_count);
-  if (s.votes.size() < kVoteBlock) s.votes.resize(kVoteBlock);
+  if (s.voters.size() < kVoteBlock) s.voters.resize(kVoteBlock);
   for (std::size_t b = begin; b < end; b += kVoteBlock) {
     const std::size_t n = std::min(end - b, kVoteBlock);
     const double* block = rows + b * d;
@@ -115,16 +120,12 @@ void for_each_vote_set(std::span<const Rule> rules, const RulePlanes& planes,
     view.rows = block;
     view.qrows = s.qrows.data();
     for (std::size_t r = 0; r < planes.rule_count; ++r) s.matched[r].clear();
-    for (std::size_t i = 0; i < n; ++i) s.votes[i].clear();
+    for (std::size_t i = 0; i < n; ++i) s.voters[i].clear();
     matchkern::rule_major_match(view, planes, 0, n, s.matched);
     for (std::size_t r = 0; r < planes.rule_count; ++r) {
-      const Rule& rule = rules[r];
-      for (const std::size_t i : s.matched[r]) {
-        s.votes[i].push_back(
-            Vote{rule.forecast({block + i * d, d}), rule.fitness(), rule.predicting()->error()});
-      }
+      for (const std::size_t i : s.matched[r]) s.voters[i].push_back(r);
     }
-    for (std::size_t i = 0; i < n; ++i) emit(b + i, s.votes[i]);
+    for (std::size_t i = 0; i < n; ++i) emit(b + i, s.voters[i]);
   }
 }
 
@@ -139,7 +140,7 @@ void RuleSystem::add_rules(std::vector<Rule> rules, bool discard_unfit, double f
 }
 
 Prediction RuleSystem::forecast(std::span<const double> window, Aggregation how) const {
-  return predict(collect_votes(rules_, window), how);
+  return forecast(compile_planes(window.size()), window, how);
 }
 
 RulePlanes RuleSystem::compile_planes(std::size_t window) const {
@@ -152,8 +153,8 @@ RulePlanes RuleSystem::compile_planes(std::size_t window) const {
   const double qinv = range ? 255.0 / (range->second - range->first) : 0.0;
   std::vector<std::span<const Interval>> genes(rules_.size());
   for (std::size_t r = 0; r < rules_.size(); ++r) {
-    // Non-predicting or wrong-dimension rules become inactive lanes: the
-    // same rules collect_votes skips.
+    // Non-predicting or wrong-dimension rules become inactive lanes: they
+    // never vote.
     if (rules_[r].predicting() && rules_[r].window() == window) genes[r] = rules_[r].genes();
   }
   return build_rule_planes(genes, window, qmin, qinv);
@@ -161,12 +162,24 @@ RulePlanes RuleSystem::compile_planes(std::size_t window) const {
 
 Prediction RuleSystem::forecast(const RulePlanes& planes, std::span<const double> window,
                                 Aggregation how) const {
+  if (planes.rule_count != rules_.size()) {
+    throw std::invalid_argument("RuleSystem::forecast: planes of another rule system");
+  }
   if (window.size() != planes.window) return forecast(window, how);
   Prediction out;
-  for_each_vote_set(rules_, planes, window.data(), 0, 1,
-                    [&](std::size_t, const std::vector<Vote>& votes) {
-                      out = predict(votes, how);
-                    });
+  for_each_voter_set(planes, window.data(), 0, 1,
+                     [&](std::size_t, std::span<const std::size_t> voters) {
+                       out = predict(rules_, voters, window, how);
+                     });
+  return out;
+}
+
+std::vector<std::size_t> RuleSystem::voters(std::span<const double> window) const {
+  std::vector<std::size_t> out;
+  for_each_voter_set(compile_planes(window.size()), window.data(), 0, 1,
+                     [&](std::size_t, std::span<const std::size_t> voters) {
+                       out.assign(voters.begin(), voters.end());
+                     });
   return out;
 }
 
@@ -191,21 +204,14 @@ std::vector<Prediction> RuleSystem::forecast_batch(std::span<const double> flat_
   tp.parallel_for(
       0, n,
       [&](std::size_t begin, std::size_t end) {
-        for_each_vote_set(rules_, planes, flat_windows.data(), begin, end,
-                          [&](std::size_t i, const std::vector<Vote>& votes) {
-                            out[i] = predict(votes, how);
-                          });
+        for_each_voter_set(planes, flat_windows.data(), begin, end,
+                           [&](std::size_t i, std::span<const std::size_t> voters) {
+                             out[i] = predict(rules_, voters,
+                                              flat_windows.subspan(i * window, window), how);
+                           });
       },
       /*grain=*/16);
   return out;
-}
-
-std::size_t RuleSystem::vote_count(std::span<const double> window) const {
-  std::size_t votes = 0;
-  for (const Rule& rule : rules_) {
-    if (rule.matches(window)) ++votes;
-  }
-  return votes;
 }
 
 series::PartialForecast RuleSystem::forecast_dataset(const WindowDataset& data,
@@ -221,10 +227,10 @@ series::PartialForecast RuleSystem::forecast_dataset(const WindowDataset& data,
   const RulePlanes planes = compile_planes(data.window());
   util::ThreadPool& tp = pool ? *pool : util::ThreadPool::shared();
   tp.parallel_for(0, data.count(), [&](std::size_t begin, std::size_t end) {
-    for_each_vote_set(rules_, planes, data.lag_major().rows, begin, end,
-                      [&](std::size_t i, const std::vector<Vote>& votes) {
-                        out[i] = predict(votes, how).as_optional();
-                      });
+    for_each_voter_set(planes, data.lag_major().rows, begin, end,
+                       [&](std::size_t i, std::span<const std::size_t> voters) {
+                         out[i] = predict(rules_, voters, data.pattern(i), how).as_optional();
+                       });
   });
   return out;
 }
@@ -239,10 +245,10 @@ double RuleSystem::coverage_percent(const WindowDataset& data, util::ThreadPool*
   util::ThreadPool& tp = pool ? *pool : util::ThreadPool::shared();
   tp.parallel_for(0, data.count(), [&](std::size_t begin, std::size_t end) {
     std::size_t local = 0;
-    for_each_vote_set(rules_, planes, data.lag_major().rows, begin, end,
-                      [&](std::size_t, const std::vector<Vote>& votes) {
-                        local += votes.empty() ? 0 : 1;
-                      });
+    for_each_voter_set(planes, data.lag_major().rows, begin, end,
+                       [&](std::size_t, std::span<const std::size_t> voters) {
+                         local += voters.empty() ? 0 : 1;
+                       });
     covered.fetch_add(local, std::memory_order_relaxed);
   });
   return 100.0 * static_cast<double>(covered.load()) / static_cast<double>(data.count());

@@ -47,8 +47,10 @@ class RuleSystem {
   /// Forecast for one window (paper §3.4: matching rules vote with their
   /// hyperplane outputs; kMean is the paper's aggregation, others are
   /// Ablation D). The returned Prediction carries the value, the vote count
-  /// and the abstention flag in one place. This is the plain rule-by-rule
-  /// scan — the reference every compiled path below is tested against.
+  /// and the abstention flag in one place. Compiles the planes for
+  /// window.size() lags on every call and runs the forecast below over them;
+  /// for many windows compile once (serve::LoadedModel) or use
+  /// forecast_batch / forecast_dataset. Rules of another length never vote.
   [[nodiscard]] Prediction forecast(std::span<const double> window,
                                     Aggregation how = Aggregation::kMean) const;
 
@@ -61,11 +63,17 @@ class RuleSystem {
   [[nodiscard]] RulePlanes compile_planes(std::size_t window) const;
 
   /// Single-window forecast over planes compiled from this system by
-  /// compile_planes — the serving path. Equals forecast(window, how) exactly;
-  /// a window whose length differs from planes.window takes that reference
-  /// scan.
+  /// compile_planes — the serving path. A window whose length differs from
+  /// planes.window goes through forecast(window, how), which compiles planes
+  /// of its length. Throws std::invalid_argument when planes.rule_count !=
+  /// size() (planes of another system).
   [[nodiscard]] Prediction forecast(const RulePlanes& planes, std::span<const double> window,
                                     Aggregation how = Aggregation::kMean) const;
+
+  /// Ascending indices of the rules that vote on `window` — the match set
+  /// every forecast entry aggregates, in its aggregation order (empty =
+  /// abstention). Compiles planes per call, like forecast(window).
+  [[nodiscard]] std::vector<std::size_t> voters(std::span<const double> window) const;
 
   /// Batched forecasts for `flat_windows.size() / window` row-major packed
   /// windows through the compiled planes, parallel over windows via `pool`
@@ -78,9 +86,6 @@ class RuleSystem {
                                                        std::size_t window,
                                                        Aggregation how = Aggregation::kMean,
                                                        util::ThreadPool* pool = nullptr) const;
-
-  /// Number of rules matching a window (0 = abstention).
-  [[nodiscard]] std::size_t vote_count(std::span<const double> window) const;
 
   /// Forecast every pattern of a dataset through the compiled planes;
   /// abstentions are nullopt. Parallel over patterns via `pool` (nullptr =

@@ -67,9 +67,11 @@ class LoadedModel {
   /// Window length D every rule expects (0 when the system is empty).
   [[nodiscard]] std::size_t window() const noexcept { return window_; }
 
-  /// One forecast through the compiled planes (RuleSystem::forecast over
-  /// them: identical to the reference scan). Value, vote count and
-  /// abstention arrive together — nothing to re-derive.
+  /// The match planes of system(), compiled once for window().
+  [[nodiscard]] const core::RulePlanes& planes() const noexcept { return planes_; }
+
+  /// system().forecast(planes(), window, how): no per-call compile. Value,
+  /// vote count and abstention arrive together — nothing to re-derive.
   [[nodiscard]] core::Prediction forecast(
       std::span<const double> window,
       core::Aggregation how = core::Aggregation::kMean) const;

@@ -4,6 +4,7 @@
 #include <optional>
 #include <utility>
 
+#include "core/multistep.hpp"
 #include "obs/macros.hpp"
 #include "obs/timeline.hpp"
 
@@ -124,25 +125,13 @@ core::Prediction ForecastService::predict_uncached(
     return model->forecast(request.window, request.agg);
   }
 
-  // Iterated multi-step: slide the window forward, feeding each one-step
-  // forecast back as the newest value. Chain abstention policy: any
-  // abstaining step abstains the request (paper semantics — no fabricated
-  // bridge values on the serving path).
+  // Iterated multi-step through the core chain. Any abstaining step
+  // abstains the request (paper semantics — no fabricated bridge values on
+  // the serving path), and the reply ships no bound.
   obs::Span match("serve.match");
   match.set_arg("steps", static_cast<double>(request.horizon));
-  std::vector<double> window = request.window;
-  core::Prediction last;
-  for (std::size_t step = 0; step < request.horizon; ++step) {
-    last = model->forecast(window, request.agg);
-    if (last.abstained) return core::Prediction{};
-    window.erase(window.begin());
-    window.push_back(last.value);
-  }
-  // A one-step bound does not compose across fed-back forecasts (each step's
-  // input already carries the previous step's error) — the chain honestly
-  // ships no interval rather than a misleading final-step one.
-  last.bound = -1.0;
-  return last;
+  return core::iterate_chain(model->system(), model->planes(), request.window,
+                             request.horizon, core::ChainAbstention::kAbstain, request.agg);
 }
 
 PredictResponse ForecastService::predict(const PredictRequest& request) {

@@ -316,6 +316,14 @@ std::vector<std::size_t> match_rows(std::span<const Interval> genes, const doubl
   return out;
 }
 
+std::vector<std::size_t> voters(std::span<const Rule> rules, std::span<const double> window) {
+  std::vector<std::size_t> out;
+  for (std::size_t r = 0; r < rules.size(); ++r) {
+    if (rules[r].predicting() && matches(rules[r].genes(), window)) out.push_back(r);
+  }
+  return out;
+}
+
 void evaluate(Rule& rule, const Windows& w, const Config& config) {
   const std::vector<std::size_t> rows = match(rule.genes(), w);
   PredictingPart part;

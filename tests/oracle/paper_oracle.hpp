@@ -9,7 +9,8 @@
 // N_R·EMAX − e_R, parents come from a 3-round tournament, the offspring
 // replaces its nearest neighbour in prediction space only if fitter, and
 // executions are unioned until the coverage target is met. Forecasts are the
-// mean vote of the matching rules.
+// mean vote of the matching rules, and `voters` lists which rules those are
+// for one window.
 //
 // The oracle shares no code with src/core. It uses core::Rule, core::Interval
 // and core::PredictingPart (with its LinearFit) as plain data types only —
@@ -75,6 +76,11 @@ struct Windows {
 [[nodiscard]] std::vector<std::size_t> match_rows(std::span<const core::Interval> genes,
                                                   const double* rows, std::size_t count,
                                                   std::size_t window);
+
+/// Ascending indices of the rules that vote on one window: those with a
+/// predicting part whose genes match it.
+[[nodiscard]] std::vector<std::size_t> voters(std::span<const core::Rule> rules,
+                                              std::span<const double> window);
 
 /// Evaluate a rule: match, fit, score. Sets its predicting part.
 void evaluate(core::Rule& rule, const Windows& w, const Config& config);

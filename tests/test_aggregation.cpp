@@ -107,9 +107,10 @@ TEST(Aggregation, AllStrategiesBoundedByVoteExtremes) {
   }
 }
 
-TEST(CollectVotes, OnlyMatchingEvaluatedRulesVote) {
+TEST(Voters, OnlyMatchingEvaluatedRulesVote) {
   using ef::core::Interval;
   using ef::core::Rule;
+  using ef::core::RuleSystem;
   std::vector<Rule> rules;
   // Rule 0: matches [0,10]², evaluated.
   Rule a({Interval(0, 10), Interval(0, 10)});
@@ -126,12 +127,20 @@ TEST(CollectVotes, OnlyMatchingEvaluatedRulesVote) {
   c.set_predicting(part);
   rules.push_back(c);
 
+  RuleSystem system;
+  system.add_rules(std::move(rules), /*discard_unfit=*/false, /*f_min=*/-1.0);
+  ASSERT_EQ(system.size(), 2u);  // the unevaluated rule never enters
+
   const std::vector<double> window{5.0, 5.0};
-  const auto votes = ef::core::collect_votes(rules, window);
-  ASSERT_EQ(votes.size(), 1u);
-  EXPECT_DOUBLE_EQ(votes[0].value, 5.0);
-  EXPECT_DOUBLE_EQ(votes[0].fitness, 1.0);
-  EXPECT_DOUBLE_EQ(votes[0].error, 0.2);
+  EXPECT_EQ(system.voters(window), std::vector<std::size_t>{0});
+  const auto vote = ef::core::vote_of(system.rules()[0], window);
+  EXPECT_DOUBLE_EQ(vote.value, 5.0);
+  EXPECT_DOUBLE_EQ(vote.fitness, 1.0);
+  EXPECT_DOUBLE_EQ(vote.error, 0.2);
+  const auto p = system.forecast(window);
+  EXPECT_EQ(p.votes, 1u);
+  EXPECT_DOUBLE_EQ(p.value, 5.0);
+  EXPECT_DOUBLE_EQ(p.bound, 0.2);
 }
 
 TEST(RuleSystemAggregation, PredictWithStrategyMatchesDirectAggregation) {

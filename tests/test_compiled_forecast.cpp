@@ -1,19 +1,22 @@
 // Tests for the compiled single-window forecast (RuleSystem::compile_planes +
 // RuleSystem::forecast over the planes), driven through the serving entry
-// LoadedModel::forecast: exact agreement with the reference scan
-// RuleSystem::forecast under every aggregation — hand and trained systems,
-// random and ±1e300 probes, out-of-range, empty and wrong-length windows,
-// mixed-dimension systems — plus degenerate byte maps meeting infinite
-// values.
+// LoadedModel::forecast and the compile-per-call RuleSystem::forecast: exact
+// agreement with the paper oracle's voters (tests/oracle/) under every
+// aggregation — hand and trained systems, random and ±1e300 probes,
+// out-of-range, empty and wrong-length windows, mixed-dimension systems —
+// plus degenerate byte maps meeting infinite values, and planes of another
+// system rejected.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "core/rule_system.hpp"
+#include "oracle/expected_prediction.hpp"
 #include "serve/model_store.hpp"
 #include "series/mackey_glass.hpp"
 #include "util/rng.hpp"
@@ -67,22 +70,26 @@ std::vector<std::vector<double>> huge_value_probes(const std::vector<double>& ba
 
 bool same_double(double a, double b) { return a == b || (std::isnan(a) && std::isnan(b)); }
 
-/// Compiled and reference forecasts agree exactly under every aggregation:
-/// abstention, vote count, value and bound (NaN, from opposing infinite
-/// votes, equals NaN).
+/// A forecast equals the oracle's exactly: abstention, vote count, value and
+/// bound (NaN, from opposing infinite votes, equals NaN).
+void expect_same(const Prediction& got, const Prediction& expected, Aggregation how) {
+  ASSERT_EQ(got.abstained, expected.abstained) << to_string(how);
+  ASSERT_EQ(got.votes, expected.votes) << to_string(how);
+  if (!expected.abstained) {
+    ASSERT_TRUE(same_double(got.value, expected.value))
+        << to_string(how) << ": " << got.value << " vs " << expected.value;
+    ASSERT_TRUE(same_double(got.bound, expected.bound))
+        << to_string(how) << ": " << got.bound << " vs " << expected.bound;
+  }
+}
+
+/// The served (compiled-once) and compile-per-call forecasts both equal the
+/// oracle's under every aggregation.
 void expect_same_forecast(const LoadedModel& model, std::span<const double> w) {
   for (const Aggregation how : kAllAggregations) {
-    const Prediction direct = model.system().forecast(w, how);
-    const Prediction compiled = model.forecast(w, how);
-    ASSERT_EQ(direct.abstained, compiled.abstained) << to_string(how);
-    ASSERT_EQ(direct.votes, compiled.votes) << to_string(how);
-    ASSERT_EQ(compiled.votes, model.system().vote_count(w)) << to_string(how);
-    if (!direct.abstained) {
-      ASSERT_TRUE(same_double(direct.value, compiled.value))
-          << to_string(how) << ": " << direct.value << " vs " << compiled.value;
-      ASSERT_TRUE(same_double(direct.bound, compiled.bound))
-          << to_string(how) << ": " << direct.bound << " vs " << compiled.bound;
-    }
+    const Prediction expected = ef::oracle::expected_prediction(model.system().rules(), w, how);
+    expect_same(model.forecast(w, how), expected, how);
+    expect_same(model.system().forecast(w, how), expected, how);
   }
 }
 
@@ -170,8 +177,8 @@ TEST(CompiledForecast, WrongLengthWindowEqualsReference) {
 
 TEST(CompiledForecast, MixedDimensionSystem) {
   // The planes are compiled for the first rule's length; rules of the other
-  // length are inactive lanes there, and windows of that length take the
-  // reference scan — either way every forecast equals the reference, and
+  // length are inactive lanes there, and windows of that length compile
+  // planes of their own — either way every forecast equals the oracle's, and
   // forecast_batch agrees at both lengths.
   RuleSystem system;
   system.add_rules({make_rule({Interval(0.0, 0.6), Interval::wildcard()}, 1.0, 2.0),
@@ -194,12 +201,11 @@ TEST(CompiledForecast, MixedDimensionSystem) {
     for (const Aggregation how : kAllAggregations) {
       const auto batch = model->system().forecast_batch(flat, d, how);
       for (std::size_t i = 0; i < batch.size(); ++i) {
-        const Prediction direct = model->system().forecast({flat.data() + i * d, d}, how);
-        ASSERT_EQ(batch[i].votes, direct.votes) << "d=" << d << " position " << i;
-        ASSERT_EQ(batch[i].abstained, direct.abstained) << "d=" << d << " position " << i;
-        if (!direct.abstained) {
-          ASSERT_TRUE(same_double(batch[i].value, direct.value));
-        }
+        SCOPED_TRACE(testing::Message() << "d=" << d << " position " << i);
+        expect_same(batch[i],
+                    ef::oracle::expected_prediction(model->system().rules(),
+                                                    {flat.data() + i * d, d}, how),
+                    how);
       }
     }
   }
@@ -210,8 +216,7 @@ TEST(CompiledForecast, DegenerateByteMapWithInfiniteValues) {
   // point) compile to the degenerate qinv == 0 byte map, where ±inf·0 is
   // NaN; it must quantize to byte 0 instead of reaching an undefined
   // float-to-integer conversion. The same windows go through forecast_batch
-  // on their own and the compiled entry; votes must equal the exact
-  // predicate's count.
+  // on their own and the compiled entry; both must equal the oracle's.
   const double inf = std::numeric_limits<double>::infinity();
   const std::vector<std::vector<double>> windows{
       {inf, 1.0, 1.0}, {1.0, -inf, 1.0}, {1.0, 1.0, inf}, {1.0, 1.0, 1.0}, {-inf, inf, 1.0}};
@@ -230,12 +235,30 @@ TEST(CompiledForecast, DegenerateByteMapWithInfiniteValues) {
       expect_same_forecast(*model, w);
       const auto batch = system->forecast_batch(w, w.size());
       ASSERT_EQ(batch.size(), 1u);
-      EXPECT_EQ(batch[0].votes, system->vote_count(w));
+      expect_same(batch[0],
+                  ef::oracle::expected_prediction(system->rules(), w, Aggregation::kMean),
+                  Aggregation::kMean);
     }
   }
   // The wildcard rule accepts everything, infinities included.
   EXPECT_EQ(load(wildcard)->forecast(windows[0]).votes, 1u);
   EXPECT_EQ(load(point)->forecast(windows[3]).votes, 2u);
+}
+
+TEST(CompiledForecast, PlanesOfAnotherSystemThrow) {
+  // Planes carry one lane per rule of the system they were compiled from;
+  // forecasting another system over them would read rules it does not have
+  // (more lanes) or skip rules it has (fewer lanes).
+  const RuleSystem larger = hand_system();
+  RuleSystem smaller;
+  smaller.add_rules({make_rule({Interval(0.0, 1.0), Interval(0.0, 1.0)}, 5.0, 1.0)}, false,
+                    -1.0);
+  const std::vector<double> w{0.35, 0.3};
+  EXPECT_THROW((void)smaller.forecast(larger.compile_planes(2), w), std::invalid_argument);
+  EXPECT_THROW((void)larger.forecast(smaller.compile_planes(2), w), std::invalid_argument);
+  EXPECT_THROW((void)larger.forecast(RuleSystem().compile_planes(2), w),
+               std::invalid_argument);
+  EXPECT_EQ(smaller.forecast(smaller.compile_planes(2), w).votes, 1u);
 }
 
 }  // namespace

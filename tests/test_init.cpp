@@ -5,10 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
 
+#include "oracle/paper_oracle.hpp"
 #include "series/venice.hpp"
 #include "util/rng.hpp"
 
@@ -20,6 +22,13 @@ using ef::core::Interval;
 using ef::core::Rule;
 using ef::core::WindowDataset;
 using ef::series::TimeSeries;
+
+/// Ascending indices of the dataset's patterns the rule matches (the paper
+/// oracle's scan).
+std::vector<std::size_t> matched(const Rule& rule, const WindowDataset& data) {
+  return ef::oracle::match_rows(rule.genes(), data.pattern(0).data(), data.count(),
+                                data.window());
+}
 
 TEST(StratifiedInit, PopulationSizeExact) {
   const auto venice = ef::series::generate_venice(2000);
@@ -47,11 +56,13 @@ TEST(StratifiedInit, EveryPatternMatchedByItsStratumRule) {
   const double lo = data.target_min();
   const double hi = data.target_max();
   const double step = (hi - lo) / static_cast<double>(pop);
+  std::vector<std::vector<std::size_t>> matches;
+  for (const Rule& r : rules) matches.push_back(matched(r, data));
   for (std::size_t i = 0; i < data.count(); ++i) {
     const double v = data.target(i);
     auto stratum = static_cast<std::size_t>((v - lo) / step);
     if (stratum >= pop) stratum = pop - 1;  // v == hi lands in the last one
-    EXPECT_TRUE(rules[stratum].matches(data.pattern(i)))
+    EXPECT_TRUE(std::binary_search(matches[stratum].begin(), matches[stratum].end(), i))
         << "pattern " << i << " not matched by its stratum " << stratum;
   }
 }
@@ -61,16 +72,11 @@ TEST(StratifiedInit, InitialPopulationCoversWholeTrainingSet) {
   const auto venice = ef::series::generate_venice(2500);
   const WindowDataset data(venice, 6, 2);
   const auto rules = init_output_stratified(data, 30);
-  for (std::size_t i = 0; i < data.count(); ++i) {
-    bool matched = false;
-    for (const Rule& r : rules) {
-      if (r.matches(data.pattern(i))) {
-        matched = true;
-        break;
-      }
-    }
-    EXPECT_TRUE(matched) << "pattern " << i;
+  std::vector<bool> covered(data.count(), false);
+  for (const Rule& r : rules) {
+    for (const std::size_t i : matched(r, data)) covered[i] = true;
   }
+  for (std::size_t i = 0; i < data.count(); ++i) EXPECT_TRUE(covered[i]) << "pattern " << i;
 }
 
 TEST(StratifiedInit, EmptyStrataGetFullRangeRules) {
@@ -98,7 +104,10 @@ TEST(StratifiedInit, ConstantSeriesDoesNotCrash) {
   const auto rules = init_output_stratified(data, 10);
   EXPECT_EQ(rules.size(), 10u);
   // Every rule must match the constant window.
-  for (const Rule& r : rules) EXPECT_TRUE(r.matches(data.pattern(0)));
+  for (const Rule& r : rules) {
+    EXPECT_EQ(ef::oracle::match_rows(r.genes(), data.pattern(0).data(), 1, data.window()),
+              std::vector<std::size_t>{0});
+  }
 }
 
 TEST(StratifiedInit, RulesAreGeneralNotWildcard) {

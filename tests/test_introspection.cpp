@@ -1,5 +1,6 @@
-// Tests for core/introspection.hpp: explanation provenance, aggregation
-// consistency, gene-importance profiles on hand-built and trained systems.
+// Tests for core/introspection.hpp: explanation provenance, voters and
+// forecasts equal to the paper oracle's under every aggregation,
+// gene-importance profiles on hand-built and trained systems.
 #include "core/introspection.hpp"
 
 #include <gtest/gtest.h>
@@ -9,7 +10,9 @@
 #include <vector>
 
 #include "core/rule_system.hpp"
+#include "oracle/expected_prediction.hpp"
 #include "series/synthetic.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -69,10 +72,43 @@ TEST(Explain, ForecastMatchesPredictForEveryAggregation) {
        {Aggregation::kMean, Aggregation::kFitnessWeighted, Aggregation::kMedian,
         Aggregation::kBestRule, Aggregation::kInverseError}) {
     const auto expl = explain(system, w, how);
-    const auto direct = system.forecast(w, how).as_optional();
-    ASSERT_EQ(expl.forecast.has_value(), direct.has_value());
-    EXPECT_DOUBLE_EQ(*expl.forecast, *direct);
+    const auto expected = ef::oracle::expected_prediction(system.rules(), w, how);
+    ASSERT_TRUE(expl.forecast.has_value());
+    EXPECT_EQ(*expl.forecast, expected.value);
+    EXPECT_EQ(*expl.forecast, system.forecast(w, how).value);
     EXPECT_EQ(expl.voters.size(), 3u);
+  }
+}
+
+TEST(Explain, VotersAndForecastEqualOracleOnRandomWindows) {
+  // Overlapping boxes, a wildcard gene, a rule of another length: the
+  // explanation lists exactly the oracle's voters, in ascending rule order,
+  // with their outputs, and forecasts what the oracle's votes aggregate to.
+  RuleSystem system;
+  system.add_rules({make_rule({Interval(0.0, 0.6), Interval::wildcard()}, 1.0, 2.0, 3, 0.1),
+                    make_rule({Interval(0.3, 1.0), Interval(0.2, 0.9)}, 2.0, 1.0, 5, 0.3),
+                    make_rule({Interval(0.0, 1.0)}, 9.0, 4.0),
+                    make_rule({Interval(0.5, 0.8), Interval(0.0, 0.5)}, 3.0, 3.0, 9, 0.05)},
+                   false, -1.0);
+  ef::util::Rng rng(31);
+  for (int probe = 0; probe < 300; ++probe) {
+    const std::vector<double> w{rng.uniform(-0.1, 1.1), rng.uniform(-0.1, 1.1)};
+    const auto expected_voters = ef::oracle::voters(system.rules(), w);
+    for (const auto how :
+         {Aggregation::kMean, Aggregation::kFitnessWeighted, Aggregation::kMedian,
+          Aggregation::kBestRule, Aggregation::kInverseError}) {
+      const auto expl = explain(system, w, how);
+      ASSERT_EQ(expl.voters.size(), expected_voters.size());
+      for (std::size_t k = 0; k < expl.voters.size(); ++k) {
+        EXPECT_EQ(expl.voters[k].rule_index, expected_voters[k]);
+        EXPECT_EQ(expl.voters[k].output, system.rules()[expected_voters[k]].forecast(w));
+      }
+      const auto expected = ef::oracle::expected_prediction(system.rules(), w, how);
+      ASSERT_EQ(expl.forecast.has_value(), !expected.abstained);
+      if (expl.forecast) {
+        EXPECT_EQ(*expl.forecast, expected.value);
+      }
+    }
   }
 }
 

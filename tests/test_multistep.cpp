@@ -1,6 +1,6 @@
 // Tests for core/multistep.hpp: chain mechanics on a hand-built system,
-// abstention policies, and equivalence with direct prediction on a linear
-// series.
+// abstention policies, equivalence with direct prediction on a linear
+// series, and the chain stepped against the paper oracle's voters.
 #include "core/multistep.hpp"
 
 #include <gtest/gtest.h>
@@ -10,15 +10,19 @@
 #include <vector>
 
 #include "core/rule_system.hpp"
+#include "oracle/expected_prediction.hpp"
 #include "series/timeseries.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
+using ef::core::Aggregation;
 using ef::core::ChainAbstention;
 using ef::core::Interval;
 using ef::core::iterate_forecast;
 using ef::core::iterate_forecast_dataset;
 using ef::core::MultistepOptions;
+using ef::core::Prediction;
 using ef::core::Rule;
 using ef::core::RuleSystem;
 using ef::core::WindowDataset;
@@ -173,6 +177,90 @@ TEST(MultistepDataset, HorizonZeroThrows) {
   const RuleSystem system = plus_one_system(0, 100);
   EXPECT_THROW((void)iterate_forecast_dataset(system, data, ChainAbstention::kAbstain),
                std::invalid_argument);
+}
+
+/// Two overlapping rules with different hyperplanes over [0, 10]², so chains
+/// carry one or two voters per step and leave the boxes after a while.
+RuleSystem two_rule_system() {
+  const auto rule = [](std::vector<Interval> genes, std::vector<double> coeffs, double fitness,
+                       double error) {
+    Rule r(std::move(genes));
+    ef::core::PredictingPart part;
+    part.fit.coeffs = std::move(coeffs);
+    part.fit.max_abs_residual = error;
+    part.matches = 4;
+    part.fitness = fitness;
+    r.set_predicting(part);
+    return r;
+  };
+  RuleSystem system;
+  system.add_rules({rule({Interval(0, 6), Interval(0, 8)}, {0.2, 0.9, 0.7}, 2.0, 0.1),
+                    rule({Interval(3, 10), Interval::wildcard()}, {-0.1, 1.1, 0.4}, 1.0, 0.3)},
+                   false, -1.0);
+  return system;
+}
+
+TEST(Multistep, ChainEqualsSteppedOracleForecasts) {
+  // Each step of the chain is the oracle's prediction for the slid window;
+  // the chain returns the last one with its votes and no bound.
+  const RuleSystem system = two_rule_system();
+  const ef::core::RulePlanes planes = system.compile_planes(2);
+  ef::util::Rng rng(5);
+  for (int probe = 0; probe < 100; ++probe) {
+    const std::vector<double> w{rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)};
+    for (const Aggregation how : {Aggregation::kMean, Aggregation::kFitnessWeighted,
+                                  Aggregation::kMedian, Aggregation::kBestRule,
+                                  Aggregation::kInverseError}) {
+      for (const std::size_t steps : {1u, 3u, 8u}) {
+        std::vector<double> values;
+        const Prediction chain = ef::core::iterate_chain(
+            system, planes, w, steps, ChainAbstention::kAbstain, how, &values);
+
+        std::vector<double> state = w;
+        std::vector<double> expected_values;
+        Prediction expected;
+        for (std::size_t step = 0; step < steps; ++step) {
+          expected = ef::oracle::expected_prediction(system.rules(), state, how);
+          if (expected.abstained) break;
+          expected_values.push_back(expected.value);
+          state.erase(state.begin());
+          state.push_back(expected.value);
+        }
+        ASSERT_EQ(values, expected_values) << "probe " << probe << " steps " << steps;
+        ASSERT_EQ(chain.abstained, expected.abstained);
+        if (chain.abstained) {
+          EXPECT_EQ(chain.votes, 0u);
+        } else {
+          EXPECT_EQ(chain.value, expected.value);
+          EXPECT_EQ(chain.votes, expected.votes);
+        }
+        EXPECT_EQ(chain.bound, -1.0);
+      }
+    }
+  }
+}
+
+TEST(Multistep, ChainPersistenceBridgesWithZeroVotes) {
+  // The box covers values <= 6: steps 5, 6 and 7 are predicted, after that the
+  // chain bridges with the last level, reporting no voters and no abstention.
+  const RuleSystem system = plus_one_system(0, 6);
+  std::vector<double> values;
+  const Prediction chain =
+      ef::core::iterate_chain(system, system.compile_planes(2), std::vector<double>{3.0, 4.0},
+                              5, ChainAbstention::kPersistence, Aggregation::kMean, &values);
+  EXPECT_EQ(values, (std::vector<double>{5.0, 6.0, 7.0, 7.0, 7.0}));
+  EXPECT_FALSE(chain.abstained);
+  EXPECT_EQ(chain.votes, 0u);
+  EXPECT_EQ(chain.value, 7.0);
+  EXPECT_EQ(chain.bound, -1.0);
+}
+
+TEST(Multistep, ChainZeroStepsAbstains) {
+  const RuleSystem system = plus_one_system(0, 10);
+  EXPECT_TRUE(ef::core::iterate_chain(system, system.compile_planes(2),
+                                      std::vector<double>{1.0, 2.0}, 0,
+                                      ChainAbstention::kAbstain, Aggregation::kMean)
+                  .abstained);
 }
 
 }  // namespace

@@ -1,14 +1,17 @@
 // Tests for RuleSystem::forecast_batch: exact element-by-element agreement
-// with single-window forecast across every aggregation mode, including
-// abstention positions and vote counts.
+// with the paper oracle's voters (tests/oracle/expected_prediction.hpp) and
+// with the single-window forecast across every aggregation mode, including
+// abstention positions, vote counts and bounds.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <span>
 #include <stdexcept>
 #include <vector>
 
 #include "core/rule_system.hpp"
+#include "oracle/expected_prediction.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -16,6 +19,7 @@ namespace {
 
 using ef::core::Aggregation;
 using ef::core::Interval;
+using ef::core::Prediction;
 using ef::core::Rule;
 using ef::core::RuleSystem;
 
@@ -53,6 +57,20 @@ RuleSystem make_system() {
   return system;
 }
 
+bool same_double(double a, double b) { return a == b || (std::isnan(a) && std::isnan(b)); }
+
+/// Batch element and expected prediction agree exactly: abstention, votes,
+/// value and bound (a NaN vote, from a NaN lag under a wildcard, makes both
+/// NaN).
+void expect_same(const Prediction& got, const Prediction& expected, std::size_t position) {
+  ASSERT_EQ(got.abstained, expected.abstained) << "position " << position;
+  ASSERT_EQ(got.votes, expected.votes) << "position " << position;
+  if (!expected.abstained) {
+    EXPECT_TRUE(same_double(got.value, expected.value)) << "position " << position;
+    EXPECT_TRUE(same_double(got.bound, expected.bound)) << "position " << position;
+  }
+}
+
 /// Random probe windows over a slightly enlarged range so a good fraction of
 /// positions abstain.
 std::vector<double> make_probes(std::size_t n, std::size_t window) {
@@ -78,15 +96,10 @@ TEST(ForecastBatch, MatchesSingleForecastAllAggregations) {
     std::size_t abstentions = 0;
     for (std::size_t i = 0; i < n; ++i) {
       const std::span<const double> w(flat.data() + i * window, window);
-      const auto single = system.forecast(w, how);
-      ASSERT_EQ(batch[i].abstained, single.abstained) << "position " << i;
-      if (!single.abstained) {
-        EXPECT_EQ(batch[i].value, single.value) << "position " << i;  // bit-identical path
-      } else {
-        ++abstentions;
-        EXPECT_EQ(batch[i].votes, 0u);
-      }
-      EXPECT_EQ(batch[i].votes, system.vote_count(w));
+      const Prediction expected = ef::oracle::expected_prediction(system.rules(), w, how);
+      expect_same(batch[i], expected, i);
+      expect_same(system.forecast(w, how), expected, i);
+      if (expected.abstained) ++abstentions;
     }
     EXPECT_GT(abstentions, 0u) << "probe set should include abstaining windows";
     EXPECT_LT(abstentions, n) << "probe set should include covered windows";
@@ -97,14 +110,11 @@ TEST(ForecastBatch, MatchesPlainMeanForecast) {
   const RuleSystem system = make_system();
   const std::size_t window = 3;
   const std::vector<double> flat = make_probes(64, window);
-  const auto batch = system.forecast_batch(flat, window);
+  const auto batch = system.forecast_batch(flat, window);  // the paper's mean path
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const std::span<const double> w(flat.data() + i * window, window);
-    const auto single = system.forecast(w);  // the paper's mean path
-    ASSERT_EQ(batch[i].abstained, single.abstained);
-    if (!single.abstained) {
-      EXPECT_EQ(batch[i].value, single.value);
-    }
+    expect_same(batch[i], ef::oracle::expected_prediction(system.rules(), w, Aggregation::kMean),
+                i);
   }
 }
 
@@ -131,10 +141,10 @@ TEST(ForecastBatch, EmptyBatchAndValidation) {
   EXPECT_THROW((void)system.forecast_batch(flat, 3), std::invalid_argument);
 }
 
-TEST(ForecastBatch, NanWindowsAndMixedRuleSetsMatchVoteCount) {
+TEST(ForecastBatch, NanWindowsAndMixedRuleSetsMatchOracle) {
   // Windows carrying NaN (a bounded gene rejects it, a wildcard accepts it)
   // against a rule set mixing wrong-dimension and all-wildcard rules: every
-  // position's votes and abstention must equal the scalar predicate's.
+  // position's voters must be the oracle's.
   const std::size_t window = 3;
   RuleSystem system = make_system();
   system.add_rules({make_rule({Interval(0.0, 1.0), Interval(0.0, 1.0)}, {0.1, 0.2, 0.3}, 1.0,
@@ -152,8 +162,9 @@ TEST(ForecastBatch, NanWindowsAndMixedRuleSetsMatchVoteCount) {
     ASSERT_EQ(batch.size(), 300u);
     for (std::size_t i = 0; i < batch.size(); ++i) {
       const std::span<const double> w(flat.data() + i * window, window);
-      ASSERT_EQ(batch[i].votes, system.vote_count(w)) << "position " << i;
-      ASSERT_EQ(batch[i].abstained, system.forecast(w, how).abstained) << "position " << i;
+      const Prediction expected = ef::oracle::expected_prediction(system.rules(), w, how);
+      expect_same(batch[i], expected, i);
+      expect_same(system.forecast(w, how), expected, i);
     }
   }
 }

@@ -1,18 +1,23 @@
-// Tests for core/rule.hpp: matching semantics, encode/parse round-trip,
-// forecast contract, the paper's worked example.
+// Tests for core/rule.hpp: matching semantics (asked of the rule-major
+// kernel through RuleSystem::voters), encode/parse round-trip, forecast
+// contract, the paper's worked example.
 #include "core/rule.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <vector>
+
+#include "core/rule_system.hpp"
 
 namespace {
 
 using ef::core::Interval;
 using ef::core::PredictingPart;
 using ef::core::Rule;
+using ef::core::RuleSystem;
 
 Rule paper_example_rule() {
   // Paper §3.1: (50,100, 40,90, −10,5, *,*, 1,100, 33, 5) with D = 5.
@@ -20,31 +25,64 @@ Rule paper_example_rule() {
                Interval(1, 100)});
 }
 
+/// Does the rule's conditional part accept the window? Asked of the match
+/// kernel: the rule, given a predicting part, is the only voter candidate of
+/// a one-rule system.
+bool matches(Rule rule, const std::vector<double>& window) {
+  PredictingPart part;
+  part.fit.coeffs.assign(rule.window() + 1, 0.0);
+  rule.set_predicting(part);
+  RuleSystem system;
+  system.add_rules({std::move(rule)}, /*discard_unfit=*/false, /*f_min=*/-1.0);
+  return !system.voters(window).empty();
+}
+
 TEST(Rule, PaperExampleMatching) {
   const Rule r = paper_example_rule();
   EXPECT_EQ(r.window(), 5u);
   // Window satisfying every bound (position 3 is don't-care).
-  EXPECT_TRUE(r.matches(std::vector<double>{75, 60, 0, 12345, 50}));
+  EXPECT_TRUE(matches(r, {75, 60, 0, 12345, 50}));
   // Violate the first gene.
-  EXPECT_FALSE(r.matches(std::vector<double>{49, 60, 0, 0, 50}));
+  EXPECT_FALSE(matches(r, {49, 60, 0, 0, 50}));
   // Violate the last gene.
-  EXPECT_FALSE(r.matches(std::vector<double>{75, 60, 0, 0, 101}));
+  EXPECT_FALSE(matches(r, {75, 60, 0, 0, 101}));
   // Boundary values are inclusive.
-  EXPECT_TRUE(r.matches(std::vector<double>{50, 40, -10, -999, 1}));
-  EXPECT_TRUE(r.matches(std::vector<double>{100, 90, 5, 999, 100}));
+  EXPECT_TRUE(matches(r, {50, 40, -10, -999, 1}));
+  EXPECT_TRUE(matches(r, {100, 90, 5, 999, 100}));
+  // Just outside a bound.
+  EXPECT_FALSE(matches(r, {std::nextafter(50.0, 0.0), 40, -10, 0, 1}));
+  EXPECT_FALSE(matches(r, {100, 90, std::nextafter(5.0, 6.0), 0, 100}));
 }
 
 TEST(Rule, WrongWindowLengthNeverMatches) {
   const Rule r = paper_example_rule();
-  EXPECT_FALSE(r.matches(std::vector<double>{75, 60, 0, 0}));
-  EXPECT_FALSE(r.matches(std::vector<double>{75, 60, 0, 0, 50, 1}));
-  EXPECT_FALSE(r.matches(std::vector<double>{}));
+  EXPECT_FALSE(matches(r, {75, 60, 0, 0}));
+  EXPECT_FALSE(matches(r, {75, 60, 0, 0, 50, 1}));
+  EXPECT_FALSE(matches(r, {}));
+}
+
+TEST(Rule, ZeroGeneRuleMatchesNothing) {
+  // Planes of zero lags have no byte plane to reject lanes with, so the
+  // kernel matches nothing there — not even a rule without genes.
+  EXPECT_FALSE(matches(Rule(), {}));
+  EXPECT_FALSE(matches(Rule(), {1.0}));
 }
 
 TEST(Rule, AllWildcardMatchesEverything) {
   const Rule r({Interval::wildcard(), Interval::wildcard()});
-  EXPECT_TRUE(r.matches(std::vector<double>{-1e9, 1e9}));
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(matches(r, {-1e9, 1e9}));
+  EXPECT_TRUE(matches(r, {-1e300, 1e300}));
+  EXPECT_TRUE(matches(r, {-inf, inf}));
   EXPECT_EQ(r.specificity(), 0u);
+}
+
+TEST(Rule, NanFailsBoundedGenesOnly) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(matches(paper_example_rule(), {nan, 60, 0, 0, 50}));
+  EXPECT_FALSE(matches(paper_example_rule(), {75, 60, 0, 0, nan}));
+  // Position 3 is a wildcard: it holds anything, NaN included.
+  EXPECT_TRUE(matches(paper_example_rule(), {75, 60, 0, nan, 50}));
 }
 
 TEST(Rule, SpecificityCountsBoundedGenes) {

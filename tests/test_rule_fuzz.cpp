@@ -1,5 +1,6 @@
 // Randomised round-trip tests: arbitrary rules through encode→parse and
-// whole rule systems through save→load, across many seeds.
+// whole rule systems through save→load, across many seeds; forecasts are
+// checked against the paper oracle's voters.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -7,13 +8,20 @@
 
 #include "core/rule.hpp"
 #include "core/rule_system.hpp"
+#include "oracle/expected_prediction.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
+using ef::core::Aggregation;
 using ef::core::Interval;
+using ef::core::Prediction;
 using ef::core::Rule;
 using ef::core::RuleSystem;
+
+constexpr Aggregation kAllAggregations[] = {
+    Aggregation::kMean, Aggregation::kFitnessWeighted, Aggregation::kMedian,
+    Aggregation::kBestRule, Aggregation::kInverseError};
 
 Rule random_rule(ef::util::Rng& rng, std::size_t window) {
   std::vector<Interval> genes;
@@ -84,13 +92,26 @@ TEST_P(RuleFuzzTest, SaveLoadRoundTripPreservesBehaviour) {
     for (int probe = 0; probe < 30; ++probe) {
       std::vector<double> w(window);
       for (double& x : w) x = rng.uniform(-1200, 1200);
-      const auto a = original.forecast(w).as_optional();
-      const auto b = loaded.forecast(w).as_optional();
-      ASSERT_EQ(a.has_value(), b.has_value());
-      if (a) {
-        ASSERT_NEAR(*a, *b, 1e-9);
+      const auto a = original.forecast(w);
+      const auto b = loaded.forecast(w);
+      ASSERT_EQ(a.abstained, b.abstained);
+      if (!a.abstained) {
+        ASSERT_NEAR(a.value, b.value, 1e-9);
       }
-      ASSERT_EQ(original.vote_count(w), loaded.vote_count(w));
+      const auto voters = ef::oracle::voters(original.rules(), w);
+      ASSERT_EQ(ef::oracle::voters(loaded.rules(), w), voters);
+      ASSERT_EQ(a.votes, voters.size());
+      ASSERT_EQ(b.votes, voters.size());
+      for (const Aggregation how : kAllAggregations) {
+        const Prediction got = original.forecast(w, how);
+        const Prediction expected = ef::oracle::expected_prediction(original.rules(), w, how);
+        ASSERT_EQ(got.abstained, expected.abstained) << to_string(how);
+        ASSERT_EQ(got.votes, expected.votes) << to_string(how);
+        if (!expected.abstained) {
+          ASSERT_EQ(got.value, expected.value) << to_string(how);
+          ASSERT_EQ(got.bound, expected.bound) << to_string(how);
+        }
+      }
     }
   }
 }

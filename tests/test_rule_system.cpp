@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/evolution.hpp"
+#include "oracle/paper_oracle.hpp"
 #include "series/timeseries.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -57,14 +58,16 @@ TEST(RuleSystem, OutputIsMeanOfMatchingRules) {
   const auto p = system.forecast(std::vector<double>{5.0, 5.0}).as_optional();
   ASSERT_TRUE(p.has_value());
   EXPECT_DOUBLE_EQ(*p, 15.0);  // third rule doesn't match
-  EXPECT_EQ(system.vote_count(std::vector<double>{5.0, 5.0}), 2u);
+  EXPECT_EQ(system.forecast(std::vector<double>{5.0, 5.0}).votes, 2u);
+  EXPECT_EQ(system.voters(std::vector<double>{5.0, 5.0}), (std::vector<std::size_t>{0, 1}));
 }
 
 TEST(RuleSystem, AbstainsOutsideAllRules) {
   RuleSystem system;
   system.add_rules({constant_rule({Interval(0, 10), Interval(0, 10)}, 1.0)}, false, -1.0);
   EXPECT_FALSE(system.forecast(std::vector<double>{50.0, 50.0}).as_optional().has_value());
-  EXPECT_EQ(system.vote_count(std::vector<double>{50.0, 50.0}), 0u);
+  EXPECT_EQ(system.forecast(std::vector<double>{50.0, 50.0}).votes, 0u);
+  EXPECT_TRUE(system.voters(std::vector<double>{50.0, 50.0}).empty());
 }
 
 TEST(RuleSystem, DiscardUnfitFiltersFMinRules) {
@@ -121,10 +124,10 @@ Rule random_rule(std::size_t d, double wildcard_prob, ef::util::Rng& rng) {
   return constant_rule(std::move(genes), rng.uniform(0.0, 1.0));
 }
 
-TEST(RuleSystem, CoverageAgreesWithVoteCountOnRandomRuleSets) {
-  // Differential: coverage_percent runs the batched rule-major kernel;
-  // vote_count is the per-rule scalar predicate. The rule sets mix in
-  // wrong-dimension rules, all-wildcard rules and non-predicting rules
+TEST(RuleSystem, CoverageAgreesWithOracleOnRandomRuleSets) {
+  // Differential: coverage_percent runs the batched rule-major kernel; the
+  // paper oracle's voters are the per-rule scalar predicate. The rule sets
+  // mix in wrong-dimension rules, all-wildcard rules and non-predicting rules
   // (add_rules drops the latter, so they must not count). NaN windows cannot
   // reach a WindowDataset (TimeSeries rejects them); the ForecastBatch tests
   // drive the same kernel with NaN windows.
@@ -152,7 +155,7 @@ TEST(RuleSystem, CoverageAgreesWithVoteCountOnRandomRuleSets) {
 
       std::size_t covered = 0;
       for (std::size_t i = 0; i < data.count(); ++i) {
-        if (system.vote_count(data.pattern(i)) > 0) ++covered;
+        if (!ef::oracle::voters(system.rules(), data.pattern(i)).empty()) ++covered;
       }
       const double expected =
           100.0 * static_cast<double>(covered) / static_cast<double>(data.count());
