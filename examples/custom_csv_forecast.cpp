@@ -101,10 +101,12 @@ int main(int argc, char** argv) {
   std::ifstream in(model_path);
   const auto reloaded = ef::core::RuleSystem::load(in);
   // Spot-check: the reloaded system must forecast identically.
+  const ef::core::RulePlanes planes_a = result.system.compile_planes(validation.window());
+  const ef::core::RulePlanes planes_b = reloaded.compile_planes(validation.window());
   std::size_t checked = 0;
   for (std::size_t i = 0; i < validation.count() && checked < 50; ++i) {
-    const auto a = result.system.forecast(validation.pattern(i)).as_optional();
-    const auto b = reloaded.forecast(validation.pattern(i)).as_optional();
+    const auto a = result.system.forecast(planes_a, validation.pattern(i)).as_optional();
+    const auto b = reloaded.forecast(planes_b, validation.pattern(i)).as_optional();
     if (a.has_value() != b.has_value() ||
         (a && std::abs(*a - *b) > 1e-9)) {
       std::printf("round-trip MISMATCH at window %zu\n", i);

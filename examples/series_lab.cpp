@@ -93,8 +93,9 @@ int main() {
   std::size_t covered = 0;
   std::size_t inside = 0;
   double bound_sum = 0.0;
+  const ef::core::RulePlanes planes = trained.system.compile_planes(eval.window());
   for (std::size_t i = 0; i < eval.count(); ++i) {
-    const ef::core::Prediction out = trained.system.forecast(eval.pattern(i));
+    const ef::core::Prediction out = trained.system.forecast(planes, eval.pattern(i));
     if (out.abstained) continue;
     ++covered;
     bound_sum += out.bound;

@@ -8,7 +8,7 @@ armed (--trace-sample 1, --trace-out, a sub-microsecond --slow-request-us
 so every request becomes a slow exemplar), then exercises the JSON-lines
 protocol end to end: ping, a model name that needs JSON escaping (a quote
 and a raw tab) listed by the models verb and by efstat --json, cold miss,
-warm cache hit, explicit abstention,
+warm cache hit, a 1-ulp neighbour that misses the cache, explicit abstention,
 bad requests (connection must survive), protocol v2 (id echo, "v":2
 envelope, structured error objects — with a v1 client on the same server
 still getting byte-plain v1 answers), pipelined bursts over several
@@ -229,6 +229,12 @@ def main():
         warm = client.request(json.dumps({"model": "demo", "window": window}))
         check("warm hit is cached", warm.get("cached") is True, warm)
         check("warm hit value identical", warm.get("value") == cold.get("value"), warm)
+        # Exact keys: one value moved by one ulp is another window, answered
+        # afresh (and its bits survive the JSON round trip to the server).
+        nudged = list(window)
+        nudged[0] = math.nextafter(nudged[0], math.inf)
+        r = client.request(json.dumps({"model": "demo", "window": nudged}))
+        check("1-ulp neighbour is not cached", r.get("ok") and r.get("cached") is False, r)
 
         # Explicit abstention: windows far outside the training attractor.
         abstained = None

@@ -111,16 +111,13 @@ RuleSetIndividual PittsburghEngine::make_random_individual() {
 }
 
 void PittsburghEngine::evaluate_individual(RuleSetIndividual& individual) {
-  // Refit every rule's predicting part on its own matched windows (the same
-  // derivation the Michigan evaluator uses), then score the SET.
-  for (Rule& rule : individual.rules) {
-    evaluator_.evaluate(rule);
-    ++evaluations_;
-  }
-
-  // One match pass for the whole set; each window's votes are summed in
-  // ascending rule order.
-  const auto matched = engine_.match_all(individual.rules);
+  // One match pass for the whole set refits every rule's predicting part on
+  // its own matched windows (the same derivation the Michigan evaluator
+  // uses), then the same match sets score the SET: each window's votes are
+  // summed in ascending rule order.
+  std::vector<std::vector<std::size_t>> matched;
+  evaluator_.evaluate_all(individual.rules, &matched);
+  evaluations_ += individual.rules.size();
   std::vector<double> vote_sum(data_.count(), 0.0);
   std::vector<std::size_t> votes(data_.count(), 0);
   for (std::size_t r = 0; r < individual.rules.size(); ++r) {

@@ -20,7 +20,7 @@
 //
 // Layering (each header is also individually includable):
 //   model_store   named, versioned models with atomic hot-reload
-//   window_cache  sharded LRU over (model tag, horizon, agg, window)
+//   window_cache  exact-key set-associative LRU over (model tag, horizon, agg, window)
 //   service       validate → cache → match → respond, one blocking call
 //   protocol      JSON-lines protocol encode/decode (v1 + v2 envelope)
 //   verbs         one request line in, one reply line out (no sockets)

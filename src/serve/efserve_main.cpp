@@ -30,8 +30,6 @@
 //   --host A            bind address (default 127.0.0.1)
 //   --poll-ms N         model-file poll interval (default 500; 0 = no reload)
 //   --cache-capacity N  prediction cache entries (default 65536; 0 = off)
-//   --cache-shards N    cache shards (default 8)
-//   --quantum X         cache window quantization grid (default 1e-9)
 //   --reactor-threads N epoll reactor threads (default 0 = min(hardware, 4))
 //   --max-pipeline N    unwritten replies queued per connection before the
 //                       reactor stops reading it (default 1024)
@@ -231,15 +229,9 @@ int main(int argc, char** argv) {
   // and reactor transport alike (serve/options.hpp).
   ef::serve::ServeOptions options;
   const auto cache_capacity = cli.get_int("cache-capacity", 65536);
-  options.enable_cache = cache_capacity > 0;
-  if (options.enable_cache) {
-    options.cache.capacity = static_cast<std::size_t>(cache_capacity);
-  }
-  options.cache.shards = static_cast<std::size_t>(cli.get_int("cache-shards", 8));
-  options.cache.quantum = cli.get_double("quantum", 1e-9);
+  options.cache.capacity = cache_capacity > 0 ? static_cast<std::size_t>(cache_capacity) : 0;
   options.slow_request_us = cli.get_double("slow-request-us", 50000.0);
   const auto quality_ledger = cli.get_int("quality-ledger", 1024);
-  options.quality.enabled = quality_ledger > 0;
   options.quality.ledger_capacity =
       quality_ledger > 0 ? static_cast<std::size_t>(quality_ledger) : 0;
   options.quality.window = static_cast<std::size_t>(cli.get_int("quality-window", 256));

@@ -24,9 +24,8 @@ namespace ef::serve {
 
 struct ServeOptions {
   // --- service pipeline ---------------------------------------------------
-  CacheConfig cache;           ///< capacity / shards / quantization grid
-  QualityOptions quality;      ///< prediction ledger / accuracy / drift
-  bool enable_cache = true;
+  CacheConfig cache;       ///< prediction cache; capacity 0 = off
+  QualityOptions quality;  ///< prediction ledger / accuracy / drift; ledger 0 = off
   std::size_t max_window = 4096;
   std::size_t max_horizon = 1024;
   /// Requests slower than this emit a serve.slow_request event and bump the

@@ -117,13 +117,11 @@ struct QualityTracker::ModelState {
 };
 
 QualityTracker::QualityTracker(QualityOptions options) : options_(options) {
-  if (options_.enabled && options_.ledger_capacity > 0) {
+  if (options_.ledger_capacity > 0) {
     provider_id_ = obs::add_exposition_provider(
         [this](std::string& out, const obs::ExpositionOptions& expo) {
           render_prometheus(out, expo);
         });
-  } else {
-    options_.enabled = false;
   }
 }
 
@@ -145,7 +143,7 @@ void QualityTracker::record_forecast(std::string_view model, std::size_t horizon
                                      double value, double bound, bool abstained) {
   // Disarmed fast path: one relaxed load — the predict pipeline pays
   // nothing until actuals start flowing.
-  if (!options_.enabled || !armed_.load(std::memory_order_relaxed)) return;
+  if (options_.ledger_capacity == 0 || !armed_.load(std::memory_order_relaxed)) return;
   ModelState* st = state(model, /*create=*/false);
   if (st == nullptr) return;  // never observed: not tracked
   if (horizon == 0) return;
@@ -201,7 +199,7 @@ QualityTracker::ObserveResult QualityTracker::observe(std::string_view model,
                                                       double actual,
                                                       std::optional<std::uint64_t> t) {
   ObserveResult result;
-  if (!options_.enabled) return result;
+  if (options_.ledger_capacity == 0) return result;
   const obs::Span span("serve.observe");
   if (!armed_.load(std::memory_order_relaxed)) {
     armed_.store(true, std::memory_order_relaxed);

@@ -63,7 +63,6 @@
 namespace ef::serve {
 
 struct QualityOptions {
-  bool enabled = true;
   /// Per-model ledger capacity; the oldest pending forecast is evicted when
   /// a full ring records a new one. 0 disables quality tracking entirely.
   std::size_t ledger_capacity = 1024;

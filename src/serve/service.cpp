@@ -70,7 +70,7 @@ void fail_response(PredictResponse& response, ErrorCode code, std::string reason
 ForecastService::ForecastService(ModelStore& store, ServeOptions options)
     : store_(store), options_(std::move(options)), cache_(options_.cache) {
   if (options_.trace_sample >= 0.0) obs::Timeline::set_sample_rate(options_.trace_sample);
-  if (options_.quality.enabled && options_.quality.ledger_capacity > 0) {
+  if (options_.quality.ledger_capacity > 0) {
     quality_ = std::make_unique<QualityTracker>(options_.quality);
   }
 }
@@ -145,7 +145,7 @@ PredictResponse ForecastService::predict(const PredictRequest& request) {
   const std::shared_ptr<const LoadedModel> model = prepare(request, response);
   if (!model) return response;
 
-  const bool use_cache = options_.enable_cache && request.use_cache;
+  const bool use_cache = cache_.capacity() > 0 && request.use_cache;
   WindowCache::Key key;
   std::optional<WindowCache::Value> answer;
   if (use_cache) {

@@ -82,7 +82,7 @@ class ForecastService {
   [[nodiscard]] WindowCache::Stats cache_stats() const { return cache_.stats(); }
   [[nodiscard]] const ServeOptions& options() const noexcept { return options_; }
   /// Forecast-quality tracker (ledger / accuracy / drift); null when
-  /// disabled via ServeOptions::quality.
+  /// ServeOptions::quality.ledger_capacity is 0.
   [[nodiscard]] QualityTracker* quality() noexcept { return quality_.get(); }
   [[nodiscard]] const QualityTracker* quality() const noexcept { return quality_.get(); }
 

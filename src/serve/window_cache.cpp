@@ -1,129 +1,115 @@
 #include "serve/window_cache.hpp"
 
-#include <cmath>
-#include <limits>
-#include <stdexcept>
+#include <algorithm>
+#include <bit>
 
 #include "obs/macros.hpp"
 
 namespace ef::serve {
 namespace {
 
-/// Saturating quantization: |v|/quantum beyond int64 range clamps to the
-/// extremes instead of overflowing into UB.
-std::int64_t quantize(double v, double quantum) noexcept {
-  const double q = v / quantum;
-  constexpr double kLimit = 9.0e18;
-  if (q >= kLimit) return std::numeric_limits<std::int64_t>::max();
-  if (q <= -kLimit) return std::numeric_limits<std::int64_t>::min();
-  if (std::isnan(q)) return 0;
-  return static_cast<std::int64_t>(std::llround(q));
+/// One word into the running hash: rotate, xor, multiply (FxHash's step).
+constexpr std::uint64_t fold(std::uint64_t h, std::uint64_t word) noexcept {
+  return (std::rotl(h, 5) ^ word) * 0x517cc1b727220a95ULL;
+}
+
+/// MurmurHash3's finaliser, so the set index (hash modulo the set count)
+/// depends on every bit of every word.
+constexpr std::uint64_t avalanche(std::uint64_t h) noexcept {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  return h ^ (h >> 33);
 }
 
 }  // namespace
 
-std::size_t WindowCache::KeyHash::operator()(const Key& key) const noexcept {
-  // FNV-1a over the key's fixed fields and quantized values.
-  std::uint64_t h = 1469598103934665603ULL;
-  const auto fold = [&h](std::uint64_t x) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (x >> (i * 8)) & 0xffULL;
-      h *= 1099511628211ULL;
-    }
-  };
-  fold(key.model_tag);
-  fold((static_cast<std::uint64_t>(key.horizon) << 8) | key.agg);
-  for (const std::int64_t q : key.qwindow) fold(static_cast<std::uint64_t>(q));
-  return static_cast<std::size_t>(h);
-}
-
-WindowCache::WindowCache(CacheConfig config) : config_(config) {
-  if (config_.shards == 0) throw std::invalid_argument("WindowCache: shards must be > 0");
-  if (config_.capacity == 0) throw std::invalid_argument("WindowCache: capacity must be > 0");
-  if (!(config_.quantum > 0.0)) {
-    throw std::invalid_argument("WindowCache: quantum must be > 0");
-  }
-  config_.shards = std::min(config_.shards, config_.capacity);
-  per_shard_capacity_ = (config_.capacity + config_.shards - 1) / config_.shards;
-  shards_ = std::vector<Shard>(config_.shards);
-}
+WindowCache::WindowCache(CacheConfig config)
+    : ways_(std::min(kWays, config.capacity)),
+      sets_(ways_ == 0 ? 0 : config.capacity / ways_),
+      stripes_(std::min(kStripes, sets_.size())) {}
 
 WindowCache::Key WindowCache::make_key(std::uint64_t model_tag, std::uint32_t horizon,
-                                       core::Aggregation agg,
-                                       std::span<const double> window) const {
+                                       core::Aggregation agg, std::span<const double> window) {
   Key key;
   key.model_tag = model_tag;
   key.horizon = horizon;
   key.agg = static_cast<std::uint8_t>(agg);
-  key.qwindow.reserve(window.size());
-  for (const double v : window) key.qwindow.push_back(quantize(v, config_.quantum));
+  key.bits.reserve(window.size());
+  std::uint64_t h = fold(fold(0, model_tag), (std::uint64_t{horizon} << 8) | key.agg);
+  for (const double v : window) {
+    key.bits.push_back(std::bit_cast<std::uint64_t>(v));
+    h = fold(h, key.bits.back());
+  }
+  key.hash = avalanche(h);
   return key;
 }
 
-WindowCache::Shard& WindowCache::shard_of(const Key& key) {
-  return shards_[KeyHash{}(key) % shards_.size()];
-}
-
 std::optional<WindowCache::Value> WindowCache::get(const Key& key) {
-  Shard& shard = shard_of(key);
-  const std::lock_guard lock(shard.mutex);
-  const auto it = shard.map.find(key);
-  if (it == shard.map.end()) {
-    ++shard.misses;
-    EVOFORECAST_COUNT("serve.cache.misses", 1);
-    return std::nullopt;
+  if (sets_.empty()) return std::nullopt;
+  const std::size_t index = key.hash % sets_.size();
+  Stripe& stripe = stripes_[index % stripes_.size()];
+  const std::lock_guard lock(stripe.mutex);
+  for (Slot& slot : sets_[index]) {
+    if (slot.key == key) {
+      slot.stamp = ++stripe.clock;
+      ++stripe.hits;
+      EVOFORECAST_COUNT("serve.cache.hits", 1);
+      return slot.value;
+    }
   }
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  ++shard.hits;
-  EVOFORECAST_COUNT("serve.cache.hits", 1);
-  return it->second->second;
+  ++stripe.misses;
+  EVOFORECAST_COUNT("serve.cache.misses", 1);
+  return std::nullopt;
 }
 
 void WindowCache::put(Key key, Value value) {
-  Shard& shard = shard_of(key);
-  const std::lock_guard lock(shard.mutex);
-  const auto it = shard.map.find(key);
-  if (it != shard.map.end()) {
-    it->second->second = value;
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return;
-  }
-  if (shard.lru.size() >= per_shard_capacity_) {
-    shard.map.erase(shard.lru.back().first);
-    shard.lru.pop_back();
-    ++shard.evictions;
-    EVOFORECAST_COUNT("serve.cache.evictions", 1);
-    // Eviction pressure into the flight recorder, heavily sampled: one
-    // event per 1024 evictions per shard, so a thrashing cache is visible
-    // without the event ring becoming an eviction ticker.
-    if ((shard.evictions & 1023) == 1) {
-      EVOFORECAST_EVENT("serve.cache.pressure", {"shard_evictions", shard.evictions},
-                        {"entries", shard.lru.size()});
+  if (sets_.empty()) return;
+  const std::size_t index = key.hash % sets_.size();
+  Stripe& stripe = stripes_[index % stripes_.size()];
+  const std::lock_guard lock(stripe.mutex);
+  std::vector<Slot>& set = sets_[index];
+  auto slot =
+      std::find_if(set.begin(), set.end(), [&key](const Slot& s) { return s.key == key; });
+  if (slot == set.end()) {
+    ++stripe.insertions;
+    if (set.size() < ways_) {
+      slot = set.insert(set.end(), Slot{std::move(key), value, 0});
+    } else {
+      slot = std::min_element(set.begin(), set.end(),
+                              [](const Slot& a, const Slot& b) { return a.stamp < b.stamp; });
+      ++stripe.evictions;
+      EVOFORECAST_COUNT("serve.cache.evictions", 1);
+      slot->key = key;  // copy-assign: the slot's bit storage keeps its capacity
     }
   }
-  shard.lru.emplace_front(std::move(key), value);
-  shard.map.emplace(shard.lru.front().first, shard.lru.begin());
-  ++shard.insertions;
+  slot->value = value;
+  slot->stamp = ++stripe.clock;
 }
 
 WindowCache::Stats WindowCache::stats() const {
   Stats out;
-  for (const Shard& shard : shards_) {
-    const std::lock_guard lock(shard.mutex);
-    out.hits += shard.hits;
-    out.misses += shard.misses;
-    out.insertions += shard.insertions;
-    out.evictions += shard.evictions;
-    out.entries += shard.lru.size();
+  for (std::size_t k = 0; k < stripes_.size(); ++k) {
+    const Stripe& stripe = stripes_[k];
+    const std::lock_guard lock(stripe.mutex);
+    out.hits += stripe.hits;
+    out.misses += stripe.misses;
+    out.insertions += stripe.insertions;
+    out.evictions += stripe.evictions;
+    for (std::size_t index = k; index < sets_.size(); index += stripes_.size()) {
+      out.entries += sets_[index].size();
+    }
   }
   return out;
 }
 
 void WindowCache::clear() {
-  for (Shard& shard : shards_) {
-    const std::lock_guard lock(shard.mutex);
-    shard.map.clear();
-    shard.lru.clear();
+  for (std::size_t k = 0; k < stripes_.size(); ++k) {
+    const std::lock_guard lock(stripes_[k].mutex);
+    for (std::size_t index = k; index < sets_.size(); index += stripes_.size()) {
+      sets_[index].clear();
+    }
   }
 }
 

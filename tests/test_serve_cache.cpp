@@ -1,14 +1,19 @@
-// Tests for serve/window_cache.hpp: quantized-key roundtrips (values and
-// abstentions alike), LRU eviction/refresh, stat counters, and key
-// separation across model tag / horizon / aggregation.
+// Tests for serve/window_cache.hpp: exact-bit keys, roundtrips (values and
+// abstentions alike), LRU eviction/refresh, stat counters, key separation
+// across model tag / horizon / aggregation, capacity 0 as the off switch,
+// and random traffic against a std::map model.
 #include "serve/window_cache.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <thread>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace {
 
@@ -47,26 +52,29 @@ TEST(WindowCache, RoundTripValueAndAbstention) {
   EXPECT_EQ(ahit->votes, 0u);
 }
 
-TEST(WindowCache, QuantizationMergesSubGridJitter) {
-  CacheConfig config;
-  config.quantum = 1e-6;
-  WindowCache cache(config);
+TEST(WindowCache, ExactBitsKeys) {
+  WindowCache cache;
+  const auto key_of = [&](double v) {
+    return cache.make_key(1, 1, Aggregation::kMean, std::vector<double>{v, 0.25});
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  // 1-ulp neighbours are different keys.
+  EXPECT_NE(key_of(0.5), key_of(std::nextafter(0.5, inf)));
+  EXPECT_NE(key_of(0.5), key_of(std::nextafter(0.5, -inf)));
+  // +0.0 == -0.0 as doubles, but they are different keys.
+  EXPECT_NE(key_of(0.0), key_of(-0.0));
+  // A NaN window gives a stable key.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(key_of(nan), key_of(nan));
+  EXPECT_EQ(key_of(0.5), key_of(0.5));
 
-  const std::vector<double> base{0.5, 0.25};
-  // Jitter far below the grid: same key.
-  const std::vector<double> jittered{0.5 + 1e-9, 0.25 - 1e-9};
-  // Offset beyond the grid: different key.
-  const std::vector<double> shifted{0.5 + 1e-4, 0.25};
-
-  const auto k1 = cache.make_key(1, 1, Aggregation::kMean, base);
-  const auto k2 = cache.make_key(1, 1, Aggregation::kMean, jittered);
-  const auto k3 = cache.make_key(1, 1, Aggregation::kMean, shifted);
-  EXPECT_EQ(k1, k2);
-  EXPECT_NE(k1, k3);
-
-  cache.put(k1, value_of(1.0));
-  EXPECT_TRUE(cache.get(k2).has_value());
-  EXPECT_FALSE(cache.get(k3).has_value());
+  cache.put(key_of(0.5), value_of(1.0));
+  cache.put(key_of(nan), value_of(2.0));
+  EXPECT_FALSE(cache.get(key_of(std::nextafter(0.5, inf))).has_value());
+  EXPECT_FALSE(cache.get(key_of(-0.0)).has_value());
+  ASSERT_TRUE(cache.get(key_of(nan)).has_value());
+  EXPECT_EQ(cache.get(key_of(nan))->value, 2.0);
+  EXPECT_EQ(cache.get(key_of(0.5))->value, 1.0);
 }
 
 TEST(WindowCache, KeySeparation) {
@@ -87,8 +95,7 @@ TEST(WindowCache, KeySeparation) {
 
 TEST(WindowCache, LruEvictionAndRefresh) {
   CacheConfig config;
-  config.capacity = 4;
-  config.shards = 1;  // deterministic LRU order
+  config.capacity = 4;  // one set: exact LRU order
   WindowCache cache(config);
 
   auto key_of = [&](int i) {
@@ -114,7 +121,6 @@ TEST(WindowCache, LruEvictionAndRefresh) {
 TEST(WindowCache, PutOverwritesInPlace) {
   CacheConfig config;
   config.capacity = 2;
-  config.shards = 1;
   WindowCache cache(config);
   const auto key = cache.make_key(1, 1, Aggregation::kMean, std::vector<double>{1.0});
   cache.put(key, value_of(1.0));
@@ -146,8 +152,8 @@ TEST(WindowCache, StatsAndClear) {
 }
 
 TEST(WindowCache, NonFiniteWindowValuesProduceStableKeys) {
-  // Saturating quantization: NaN and infinities must not crash or UB; they
-  // map to fixed buckets so lookups stay deterministic.
+  // NaN and infinities are keyed by their bits like any other value, so
+  // lookups stay deterministic.
   WindowCache cache;
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
@@ -161,7 +167,6 @@ TEST(WindowCache, NonFiniteWindowValuesProduceStableKeys) {
 TEST(WindowCache, ConcurrentMixedTraffic) {
   CacheConfig config;
   config.capacity = 128;
-  config.shards = 4;
   WindowCache cache(config);
 
   std::vector<std::thread> workers;
@@ -184,6 +189,53 @@ TEST(WindowCache, ConcurrentMixedTraffic) {
   const auto stats = cache.stats();
   EXPECT_GT(stats.hits + stats.misses, 0u);
   EXPECT_LE(stats.entries, 128u);
+}
+
+TEST(WindowCache, ZeroCapacityIsOff) {
+  CacheConfig config;
+  config.capacity = 0;
+  WindowCache cache(config);
+  EXPECT_EQ(cache.capacity(), 0u);
+  const auto key = cache.make_key(1, 1, Aggregation::kMean, std::vector<double>{1.0});
+  cache.put(key, value_of(1.0));
+  EXPECT_FALSE(cache.get(key).has_value());
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.hits + stats.misses + stats.insertions, 0u);
+}
+
+TEST(WindowCache, DifferentialAgainstMapModel) {
+  // Random get/put traffic over a small key universe, checked against a
+  // std::map holding the last value put for each exact key: every hit
+  // carries that value, and the table never holds more than its capacity.
+  for (const std::size_t capacity : {4u, 16u, 128u}) {
+    CacheConfig config;
+    config.capacity = capacity;
+    WindowCache cache(config);
+    std::map<std::vector<double>, double> model;
+    ef::util::Rng rng(capacity);
+    std::uint64_t hits = 0;
+    for (int op = 0; op < 20000; ++op) {
+      // Universe of 4 × capacity windows of length 1–3, some 1 ulp apart.
+      const auto id = rng.index(4 * capacity);
+      std::vector<double> window(1 + id % 3, static_cast<double>(id / 2));
+      if (id % 2 == 1) window.back() = std::nextafter(window.back(), 1e300);
+      const auto key = cache.make_key(9, 1, Aggregation::kMean, window);
+      if (rng.uniform(0.0, 1.0) < 0.5) {
+        const double v = rng.uniform(-1.0, 1.0);
+        cache.put(key, value_of(v));
+        model[window] = v;
+      } else if (const auto hit = cache.get(key)) {
+        ++hits;
+        const auto it = model.find(window);
+        ASSERT_NE(it, model.end()) << "capacity " << capacity << " op " << op;
+        ASSERT_EQ(hit->value, it->second) << "capacity " << capacity << " op " << op;
+      }
+      ASSERT_LE(cache.stats().entries, capacity);
+    }
+    EXPECT_GT(hits, 0u) << "capacity " << capacity;
+    EXPECT_EQ(cache.stats().entries, capacity) << "capacity " << capacity;
+  }
 }
 
 }  // namespace

@@ -386,7 +386,7 @@ TEST(Reactor, PartialWritesUnderTinySndbuf) {
 
 TEST(Reactor, ConnectionChurnDuringHotReloadZeroFailures) {
   ServeOptions options;
-  options.enable_cache = false;  // every request exercises the live model
+  options.cache.capacity = 0;  // every request exercises the live model
   Server server(options);
 
   std::atomic<bool> stop{false};

@@ -193,11 +193,34 @@ TEST(ForecastService, CachedEqualsUncachedExactly) {
   EXPECT_GE(stats.hits, 50u);
 }
 
+TEST(ForecastService, NearbyWindowGetsItsOwnAnswer) {
+  // The rule's first gene ends exactly at 0.5: the window {0.5, …} votes,
+  // and a window 1e-12 past the bound must abstain rather than reuse the
+  // first window's cached answer.
+  RuleSystem system;
+  system.add_rules({make_rule({Interval(0.0, 0.5), Interval(0.0, 1.0)}, {0.4, 0.2, 0.1}, 2.0,
+                              0.05)},
+                   false, -1.0);
+  ModelStore store;
+  store.add_system("m", std::move(system));
+  ForecastService service(store);
+
+  const auto inside = service.predict(request_for({0.5, 0.25}));
+  ASSERT_TRUE(inside.ok);
+  ASSERT_FALSE(inside.abstain);
+  const auto outside = service.predict(request_for({0.5 + 1e-12, 0.25}));
+  ASSERT_TRUE(outside.ok);
+  EXPECT_FALSE(outside.cached);
+  EXPECT_TRUE(outside.abstain);
+  EXPECT_EQ(outside.votes, 0u);
+  EXPECT_TRUE(service.predict(request_for({0.5, 0.25})).cached);
+}
+
 TEST(ForecastService, CacheDisabledStillCorrect) {
   ModelStore store;
   store.add_system("m", make_system());
   ServeOptions config;
-  config.enable_cache = false;
+  config.cache.capacity = 0;
   ForecastService service(store, config);
 
   const auto a = service.predict(request_for({0.5, 0.5, 0.5}));
@@ -271,7 +294,7 @@ TEST(ForecastService, ConcurrentPredictsAgreeWithSequential) {
   ModelStore store;
   store.add_system("m", make_system());
   ServeOptions uncached;
-  uncached.enable_cache = false;
+  uncached.cache.capacity = 0;
   ForecastService service(store, uncached);
 
   ef::util::Rng rng(23);
@@ -306,7 +329,7 @@ TEST(ForecastService, HotReloadWithPredictionsInFlightZeroFailures) {
   ModelStore store;
   store.add_system("m", make_covering_system());
   ServeOptions config;
-  config.enable_cache = false;  // every request exercises the live model
+  config.cache.capacity = 0;  // every request exercises the live model
   ForecastService service(store, config);
 
   std::atomic<bool> stop{false};

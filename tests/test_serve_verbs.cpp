@@ -182,7 +182,7 @@ TEST(ServeVerbs, ObserveSucceeds) {
 
 TEST(ServeVerbs, ObserveWithQualityDisabled) {
   ServeOptions options;
-  options.quality.enabled = false;
+  options.quality.ledger_capacity = 0;
   Fixture f(options);
   EXPECT_EQ(f.line(R"({"cmd":"observe","model":"m","value":0.5})"),
             R"({"ok":false,"error":"quality tracking is disabled"})");

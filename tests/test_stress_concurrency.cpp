@@ -137,7 +137,6 @@ TEST(StressConcurrency, ModelStoreReloadUnderPredict) {
 TEST(StressConcurrency, WindowCacheChurnWithEviction) {
   ef::serve::CacheConfig config;
   config.capacity = 128;  // small: eviction on nearly every insert
-  config.shards = 4;
   ef::serve::WindowCache cache(config);
 
   constexpr std::size_t kThreads = 8;
@@ -406,7 +405,7 @@ TEST(StressConcurrency, ReactorPipelinedClientsAgainstHotReload) {
   store.add_system("m", constant_system(3.0));
   ef::serve::ServeOptions options;
   options.port = 0;
-  options.enable_cache = false;  // every request exercises the live model
+  options.cache.capacity = 0;  // every request exercises the live model
   options.reactor_threads = 2;
   ef::serve::ForecastService service(store, options);
   ef::serve::Reactor reactor(service);
