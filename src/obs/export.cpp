@@ -1,6 +1,7 @@
 #include "obs/export.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
@@ -35,10 +36,18 @@ void append_csv_row(std::string& out, std::string_view kind, std::string_view na
   out += '\n';
 }
 
+/// %.17g, through the JSON writer's formatter; non-finite values keep
+/// printf's text ("nan", "inf", "-inf").
 [[nodiscard]] std::string number_text(double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  return buf;
+  std::string text;
+  if (std::isfinite(value)) {
+    json::append_number(text, value);
+  } else {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.17g", value);
+    text = buf;
+  }
+  return text;
 }
 
 [[nodiscard]] std::string number_text(std::uint64_t value) {

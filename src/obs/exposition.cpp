@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "obs/build_info.hpp"
+#include "util/json.hpp"
 
 namespace ef::obs {
 namespace {
@@ -23,9 +24,9 @@ bool legal_name_char(char c) {
 std::string format_value(double x) {
   if (std::isnan(x)) return "NaN";
   if (std::isinf(x)) return x > 0 ? "+Inf" : "-Inf";
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", x);
-  return buf;
+  std::string text;
+  json::append_number(text, x);
+  return text;
 }
 
 std::string format_value(std::uint64_t x) {

@@ -11,6 +11,10 @@ using Type = json::Reader::Type;
 /// them small enough that the echo can never dominate a response line.
 constexpr std::size_t kMaxIdBytes = 256;
 
+/// Window capacity taken up front, so a window of the paper's widths (up to
+/// 24 lags) is read with one allocation; longer windows grow as usual.
+constexpr std::size_t kWindowReserve = 32;
+
 /// The field error a request is answered with: of all the fields that fail,
 /// "id"/"v" (the envelope) rank first, then the rest in sorted key order.
 /// Keys are unique (the reader rejects duplicates), so the rank is total.
@@ -139,6 +143,7 @@ std::optional<Request> parse_request(std::string_view line, ProtocolError& error
         }
         std::vector<double>& window = request.predict.window;
         window.clear();
+        window.reserve(kWindowReserve);
         bool numbers_only = true;
         while (in.next_element()) {
           const Type item = in.value();

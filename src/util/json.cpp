@@ -1,5 +1,7 @@
 #include "util/json.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -34,9 +36,11 @@ void append_number(std::string& out, double value) {
     out += "null";
     return;
   }
+  // to_chars(general, 17) is defined as printf's %.17g in the C locale.
   char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  out += buffer;
+  const auto result =
+      std::to_chars(buffer, buffer + sizeof(buffer), value, std::chars_format::general, 17);
+  out.append(buffer, result.ptr);
 }
 
 void Writer::separate() {
@@ -124,7 +128,10 @@ Type Reader::value() {
     case '[':
       ++pos_;
       first_[depth_] = true;
-      if (c == '{') keys_[depth_].clear();
+      if (c == '{') {
+        inline_key_count_[depth_] = 0;
+        keys_[depth_].clear();
+      }
       ++depth_;
       return c == '{' ? Type::kObject : Type::kArray;
     case '"': read_string(); return Type::kString;
@@ -162,8 +169,20 @@ bool Reader::next_key() {
   expect(':');
   // Last-one-wins would silently discard a request field, and the caller
   // has no way to notice.
-  if (!keys_[depth_ - 1].emplace(string_).second) {
+  const std::size_t level = depth_ - 1;
+  std::string_view* const inline_keys = inline_keys_[level];
+  std::uint8_t& count = inline_key_count_[level];
+  auto& spilled = keys_[level];
+  if (std::find(inline_keys, inline_keys + count, string_) != inline_keys + count ||
+      (!spilled.empty() && spilled.find(string_) != spilled.end())) {
     fail("duplicate key \"" + std::string(string_) + "\"");
+  }
+  // An escaped key lives in decoded_, which the next string overwrites, so
+  // only keys that are views of the input stay inline.
+  if (!escaped_ && count < kInlineKeys) {
+    inline_keys[count++] = string_;
+  } else {
+    spilled.emplace(string_);
   }
   return true;
 }
@@ -195,9 +214,14 @@ void Reader::read_number() {
     if ((c < '0' || c > '9') && c != '.' && c != 'e' && c != 'E' && c != '-' && c != '+') break;
   }
   if (pos_ == start) fail("expected a value");
-  // strtod needs a terminator: short tokens (every real number) are copied
-  // to the stack.
   const std::string_view token = text_.substr(start, pos_ - start);
+  const char* const last = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), last, number_);
+  if (ec == std::errc() && ptr == last && std::isfinite(number_)) return;
+  // from_chars refused the token (a leading '+', a result out of range, a
+  // malformed number): strtod decides, with its own rounding of tiny values
+  // to zero, and its result is the one checked. strtod needs a terminator, so short tokens are copied to the
+  // stack.
   char stack[64];
   std::string heap;
   const char* begin = stack;
@@ -224,8 +248,10 @@ void Reader::read_string() {
   }
   if (pos_ < text_.size() && text_[pos_] == '"') {
     string_ = text_.substr(start, pos_++ - start);
+    escaped_ = false;
     return;
   }
+  escaped_ = true;
   decoded_.assign(text_.substr(start, pos_ - start));
   for (;;) {
     if (pos_ >= text_.size()) fail("unterminated string");

@@ -9,13 +9,21 @@
 //   * strings: `\"` `\\` `\n` `\r` `\t` short forms, every other byte below
 //     0x20 as \u00xx, everything else verbatim (UTF-8 passes through);
 //   * numbers: %.17g, which round-trips every double; non-finite numbers
-//     are written as null, since JSON has no NaN or Inf literals.
+//     are written as null, since JSON has no NaN or Inf literals. The bytes
+//     come from std::to_chars(general, 17), which the standard defines as
+//     %.17g in the C locale, so they never depend on LC_NUMERIC; integers
+//     go through std::to_chars too.
 // Output is compact: no whitespace, and keys stay in the order written.
 //
 // Reading is one grammar with one set of rejections, deliberately stricter
 // than general JSON because a public port parses it:
 //   * nesting deeper than kMaxDepth is an error, never a stack overflow;
-//   * numbers must be finite doubles ("1e999" is an error);
+//   * numbers must be finite doubles ("1e999" is an error). A number token
+//     is read by std::from_chars, which rounds correctly and ignores the
+//     locale. A token it refuses (a leading '+', a result out of range, a
+//     malformed token) goes to strtod, whose verdict stands: "+1" reads as 1,
+//     "1e-400" as 0, and "1e999" fails. Both round correctly, so every token
+//     reads to the double strtod gives;
 //   * duplicate object keys are errors, since last-one-wins would silently
 //     drop a request field;
 //   * \u escapes decode to UTF-8; lone surrogates are errors.
@@ -24,8 +32,10 @@
 // same reader.
 #pragma once
 
+#include <charconv>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -42,7 +52,8 @@ namespace ef::json {
 
 /// Appends `text` escaped by the string rule, without the quotes.
 void append_escaped(std::string& out, std::string_view text);
-/// Appends `value` by the number rule (%.17g; null when not finite).
+/// Appends `value` by the number rule (%.17g via std::to_chars; null when
+/// not finite).
 void append_number(std::string& out, double value);
 
 /// Builds one compact JSON document. Commas are inserted automatically;
@@ -65,7 +76,9 @@ class Writer {
   template <typename Int,
             std::enable_if_t<std::is_integral_v<Int> && !std::is_same_v<Int, bool>, int> = 0>
   Writer& value(Int number) {
-    return raw(std::to_string(number));
+    char buffer[std::numeric_limits<Int>::digits10 + 3];  // digits, sign, spare
+    const auto result = std::to_chars(buffer, buffer + sizeof(buffer), number);
+    return raw(std::string_view(buffer, static_cast<std::size_t>(result.ptr - buffer)));
   }
   Writer& null() { return raw("null"); }
   /// Splices an already-serialised JSON value (an echoed id, an embedded
@@ -150,10 +163,16 @@ class Reader {
   std::size_t pos_ = 0;
   std::size_t depth_ = 0;  ///< open containers
   bool first_[kMaxDepth + 1] = {};  ///< per open container: no member read yet
-  /// Keys of each open object, for the duplicate check (a set, so a hostile
-  /// line with 100k keys costs O(n log n), not O(n²)).
+  /// Keys of each open object, for the duplicate check. The first
+  /// kInlineKeys unescaped keys are views of the input, searched linearly
+  /// with no allocation; escaped keys and the rest go to a set, so a hostile
+  /// line with 100k keys costs O(n log n), not O(n²).
+  static constexpr std::uint8_t kInlineKeys = 16;
+  std::string_view inline_keys_[kMaxDepth + 1][kInlineKeys];
+  std::uint8_t inline_key_count_[kMaxDepth + 1] = {};
   std::set<std::string, std::less<>> keys_[kMaxDepth + 1];
   std::string_view string_;
+  bool escaped_ = false;  ///< string_ views decoded_, not the input
   std::string decoded_;  ///< decoded text of a string that has escapes
   double number_ = 0.0;
 };

@@ -1,12 +1,15 @@
 // The one JSON module (util/json.hpp): the writer's two rules (string
-// escaping, number text), the pull tokenizer's grammar and its rejections
+// escaping, number text, the latter checked against snprintf("%.17g") on
+// random bit patterns), the pull tokenizer's grammar and its rejections
 // with their exact messages and byte offsets, the DOM built on it, and
 // parse_request reading window numbers exactly as strtod does.
 #include "util/json.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -80,6 +83,38 @@ TEST(Json, NumbersArePercent17gAndNonFiniteIsNull) {
   EXPECT_EQ(number_text(std::numeric_limits<double>::infinity()), "null");
   EXPECT_EQ(number_text(-std::numeric_limits<double>::infinity()), "null");
   EXPECT_EQ(number_text(std::numeric_limits<double>::quiet_NaN()), "null");
+}
+
+/// snprintf("%.17g"), the number rule's definition.
+std::string printf_17g(double value) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
+  return buffer;
+}
+
+TEST(Json, NumbersEqualSnprintfOnRandomBitPatterns) {
+  for (const double v : {DBL_MAX, -DBL_MAX, DBL_MIN, -DBL_MIN, DBL_TRUE_MIN, -DBL_TRUE_MIN, 0.0,
+                         -0.0, DBL_EPSILON, 1.0, 123456789012345678.0}) {
+    EXPECT_EQ(number_text(v), printf_17g(v)) << printf_17g(v);
+  }
+  // A quarter of the draws have a zero exponent field: subnormals, and
+  // ±0 when the mantissa bits are cleared too.
+  ef::util::Rng rng(20261019);
+  constexpr std::uint64_t kExponentMask = 0x7ff0000000000000ull;
+  constexpr std::uint64_t kMantissaMask = 0x000fffffffffffffull;
+  int mismatches = 0;
+  for (int i = 0; i < 1'000'000; ++i) {
+    std::uint64_t bits = rng();
+    if (i % 4 == 0) bits &= ~kExponentMask;
+    if (i % 64 == 0) bits &= ~kMantissaMask;
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof(v));
+    const std::string want = std::isfinite(v) ? printf_17g(v) : "null";
+    if (number_text(v) != want && ++mismatches <= 10) {
+      ADD_FAILURE() << "bits " << bits << ": " << number_text(v) << " != " << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
 }
 
 TEST(Json, WriterPlacesCommasAndSplicesRawValues) {
@@ -156,8 +191,29 @@ TEST(Json, RejectsDuplicateKeysAmongManyKeys) {
   EXPECT_TRUE(ef::json::parse(text, ok_error).has_value()) << ok_error;
 }
 
+TEST(Json, RejectsDuplicateKeysInTheSpilledSet) {
+  // Past the first 16 keys an object's keys go to a set; a duplicate of a
+  // spilled key is found there, and escaped keys go there from the start.
+  std::string text = "{";
+  for (int i = 0; i < 40; ++i) text += "\"k" + std::to_string(i) + "\":" + std::to_string(i) + ",";
+  const std::string prefix = text;
+  text += "\"k30\":0}";
+  EXPECT_EQ(parse_error(text), "duplicate key \"k30\" at byte " + std::to_string(text.size() - 2));
+  EXPECT_EQ(parse_error(prefix + R"("\u006b39":0})"),
+            "duplicate key \"k39\" at byte " + std::to_string(prefix.size() + 11));
+  EXPECT_EQ(parse_error(R"({"\u0062":1,"a":2,"b":3})"), "duplicate key \"b\" at byte 22");
+  EXPECT_EQ(parse_error(R"({"\u0062":1,"\u0061":2,"\u0062":3})"),
+            "duplicate key \"b\" at byte 32");
+  std::string error;
+  EXPECT_TRUE(ef::json::parse(prefix + R"("\u006b40":0})", error).has_value()) << error;
+}
+
 TEST(Json, RejectsNumbersOverflowingDouble) {
   EXPECT_EQ(parse_error("1e999"), "non-finite number at byte 5");
+  // One ulp past DBL_MAX rounds to infinity: from_chars refuses it, and the
+  // strtod fallback keeps the message and offset.
+  EXPECT_EQ(parse_error("1.7976931348623159e308"), "non-finite number at byte 22");
+  EXPECT_EQ(parse_error("[1,1.7976931348623159e308]"), "non-finite number at byte 25");
   EXPECT_EQ(parse_error("-1e999"), "non-finite number at byte 6");
   EXPECT_EQ(parse_error("[1e999]"), "non-finite number at byte 6");
   EXPECT_EQ(parse_error(R"({"horizon":1e999})"), "non-finite number at byte 16");
@@ -196,6 +252,8 @@ TEST(Json, RejectionMessagesCarryTheirByteOffsets) {
   EXPECT_EQ(parse_error("[1 2]"), "expected ',' or ']' at byte 4");
   EXPECT_EQ(parse_error("tru"), "bad literal at byte 0");
   EXPECT_EQ(parse_error("-"), "malformed number at byte 1");
+  EXPECT_EQ(parse_error("+-1"), "malformed number at byte 3");
+  EXPECT_EQ(parse_error("[1e5e]"), "malformed number at byte 5");
   EXPECT_EQ(parse_error("\"a\x01\""), "control character in string at byte 3");
   EXPECT_EQ(parse_error("\"abc"), "unterminated string at byte 4");
   EXPECT_EQ(parse_error(R"("\x")"), "bad escape at byte 3");
@@ -253,11 +311,18 @@ TEST(Json, ReaderSkipsWholeValuesAndThrowsAtTheFirstError) {
 // --- parse_request numbers ------------------------------------------------------
 
 TEST(Json, WindowValuesEqualStrtodBitForBit) {
+  // Tokens from_chars reads and tokens it refuses ('+', underflow to ±0)
+  // alike; "-1e-400" must keep the sign of its zero.
   std::vector<std::string> texts = {"0",      "-0",        "1e-300",     "4.9e-324", "1e-400",
                                     "0.1",    "+1",        ".5",         "5.",       "01",
-                                    "1E+2",   "2.5e-3",    "1.7976931348623157e308"};
-  // A long mantissa takes the reader's heap path (> 63 characters).
+                                    "1E+2",   "2.5e-3",    "1.7976931348623157e308",
+                                    "-1e-400", "2.2250738585072011e-308",
+                                    "2.4703282292062328e-324", "+0.5e-1", "-.5"};
+  // A long mantissa: from_chars reads it whole; with a '+' or an underflow
+  // it falls back to strtod's heap copy (> 63 characters).
   texts.push_back("0." + std::string(80, '3') + "1");
+  texts.push_back("+0." + std::string(80, '3') + "1");
+  texts.push_back("-0." + std::string(80, '0') + "1e-300");
   ef::util::Rng rng(20261018);
   for (int i = 0; i < 500; ++i) {
     const int exponent = static_cast<int>(rng.index(2090)) - 1070;
