@@ -92,6 +92,8 @@ RulePlanes build_rule_planes(std::span<const std::span<const Interval>> rule_gen
   // candidates and the kernels need no per-lane activity check.
   p.qlo.assign(window * p.padded, 255);
   p.qhi.assign(window * p.padded, 0);
+  p.slo.assign(window * p.padded, 255);
+  p.shi.assign(window * p.padded, 0);
   // Wildcard mask as a double bit pattern the vector verifier can OR into
   // its comparison mask. vlo/vhi for wildcard (and padding) gene lanes are
   // never consulted — the mask passes them unconditionally.
@@ -110,13 +112,22 @@ RulePlanes build_rule_planes(std::span<const std::span<const Interval>> rule_gen
     if (genes.size() != window) continue;  // dimension mismatch: matches nothing
     p.active[r] = 1;
     for (std::size_t j = 0; j < window; ++j) {
+      const std::size_t lane = j * p.padded + r;
       if (genes[j].is_wildcard()) {
-        p.qlo[j * p.padded + r] = 0;
-        p.qhi[j * p.padded + r] = 255;
+        p.qlo[lane] = p.slo[lane] = 0;
+        p.qhi[lane] = p.shi[lane] = 255;
         wm[j] = kWildAll;
       } else {
-        p.qlo[j * p.padded + r] = quantize_value(genes[j].lo(), qmin, qinv);
-        p.qhi[j * p.padded + r] = quantize_value(genes[j].hi(), qmin, qinv);
+        const std::uint8_t qlo = quantize_value(genes[j].lo(), qmin, qinv);
+        const std::uint8_t qhi = quantize_value(genes[j].hi(), qmin, qinv);
+        p.qlo[lane] = qlo;
+        p.qhi[lane] = qhi;
+        // No byte lies strictly above 255 or strictly below 0: such a gene
+        // certifies nothing and keeps the impossible 255/0.
+        if (qlo != 255 && qhi != 0) {
+          p.slo[lane] = static_cast<std::uint8_t>(qlo + 1);
+          p.shi[lane] = static_cast<std::uint8_t>(qhi - 1);
+        }
         vlo[j] = genes[j].lo();
         vhi[j] = genes[j].hi();
       }
@@ -333,10 +344,10 @@ __attribute__((target("avx2"))) void fused_byte_match_avx2(
 /// Scalar rule-major body: byte planes first (uniformly rejecting padding
 /// and inactive rules via the impossible 255/0 range), exact verification
 /// on survivors. The SIMD bodies below are this loop with 16/32 rules per
-/// compare.
+/// compare, plus the strict-interior certificate.
+template <class Sink>
 [[maybe_unused]] void rule_major_scalar(const LagMajorView& view, const RulePlanes& p,
-                                        std::size_t begin, std::size_t end,
-                                        std::vector<std::vector<std::size_t>>& out) {
+                                        std::size_t begin, std::size_t end, Sink sink) {
   const std::size_t d = p.window;
   for (std::size_t i = begin; i < end; ++i) {
     const std::uint8_t* wq = view.qrows + i * d;
@@ -348,7 +359,7 @@ __attribute__((target("avx2"))) void fused_byte_match_avx2(
         ok = static_cast<unsigned>((b >= p.qlo[j * p.padded + r]) &
                                    (b <= p.qhi[j * p.padded + r]));
       }
-      if (ok && verify_rule_row(p, r, row)) out[r].push_back(i);
+      if (ok && verify_rule_row(p, r, row)) sink(i, r);
     }
   }
 }
@@ -356,34 +367,46 @@ __attribute__((target("avx2"))) void fused_byte_match_avx2(
 #if EF_MATCH_X86 || defined(__SSE2__)
 /// SSE2 rule-major body: 16 rules per vector. One window's byte at gene j is
 /// broadcast against the 16-lane slice of the lo/hi planes; the candidate
-/// bitmask survives only where every gene's byte range passes.
+/// mask `acc` survives only where every gene's byte range passes. Beside it
+/// `cert` tracks the strict-interior planes slo/shi: a candidate certified
+/// in every gene matches (see RulePlanes::slo), so only the others take the
+/// exact verification.
+template <class Sink>
 void rule_major_sse2(const LagMajorView& view, const RulePlanes& p, std::size_t begin,
-                     std::size_t end, std::vector<std::vector<std::size_t>>& out) {
+                     std::size_t end, Sink sink) {
   const std::size_t d = p.window;
   const std::size_t padded = p.padded;
   const std::uint8_t* qlo = p.qlo.data();
   const std::uint8_t* qhi = p.qhi.data();
+  const std::uint8_t* slo = p.slo.data();
+  const std::uint8_t* shi = p.shi.data();
   for (std::size_t i = begin; i < end; ++i) {
     const std::uint8_t* wq = view.qrows + i * d;
     const double* row = view.rows + i * d;
     for (std::size_t base = 0; base < padded; base += 16) {
       __m128i acc = _mm_set1_epi8(static_cast<char>(0xFF));
+      __m128i cert = acc;
       for (std::size_t j = 0; j < d; ++j) {
+        const std::size_t at = j * padded + base;
         const __m128i v = _mm_set1_epi8(static_cast<char>(wq[j]));
-        const __m128i lo =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(qlo + j * padded + base));
-        const __m128i hi =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(qhi + j * padded + base));
+        const __m128i lo = _mm_loadu_si128(reinterpret_cast<const __m128i*>(qlo + at));
+        const __m128i hi = _mm_loadu_si128(reinterpret_cast<const __m128i*>(qhi + at));
         const __m128i ge = _mm_cmpeq_epi8(_mm_max_epu8(v, lo), v);
         const __m128i le = _mm_cmpeq_epi8(_mm_min_epu8(v, hi), v);
         acc = _mm_and_si128(acc, _mm_and_si128(ge, le));
         if (_mm_movemask_epi8(acc) == 0) break;  // no rule in this lane-set survives
+        const __m128i sl = _mm_loadu_si128(reinterpret_cast<const __m128i*>(slo + at));
+        const __m128i sh = _mm_loadu_si128(reinterpret_cast<const __m128i*>(shi + at));
+        cert = _mm_and_si128(cert, _mm_and_si128(_mm_cmpeq_epi8(_mm_max_epu8(v, sl), v),
+                                                 _mm_cmpeq_epi8(_mm_min_epu8(v, sh), v)));
       }
       unsigned mask = static_cast<unsigned>(_mm_movemask_epi8(acc));
+      const unsigned certified = static_cast<unsigned>(_mm_movemask_epi8(cert));
       while (mask) {
+        const unsigned bit = mask & (~mask + 1);
         const std::size_t r = base + static_cast<unsigned>(__builtin_ctz(mask));
         mask &= mask - 1;
-        if (verify_rule_row(p, r, row)) out[r].push_back(i);
+        if ((certified & bit) != 0 || verify_rule_row(p, r, row)) sink(i, r);
       }
     }
   }
@@ -393,44 +416,81 @@ void rule_major_sse2(const LagMajorView& view, const RulePlanes& p, std::size_t 
 #if EF_MATCH_X86
 /// AVX2 rule-major body: 32 rules per vector, otherwise identical to the
 /// SSE2 shape. testz gives the same early exit without a movemask round-trip.
-__attribute__((target("avx2"))) void rule_major_avx2(
-    const LagMajorView& view, const RulePlanes& p, std::size_t begin, std::size_t end,
-    std::vector<std::vector<std::size_t>>& out) {
+template <class Sink>
+__attribute__((target("avx2"))) void rule_major_avx2(const LagMajorView& view,
+                                                     const RulePlanes& p, std::size_t begin,
+                                                     std::size_t end, Sink sink) {
   const std::size_t d = p.window;
   const std::size_t padded = p.padded;
   const std::size_t pg = p.padded_genes;
   const std::uint8_t* qlo = p.qlo.data();
   const std::uint8_t* qhi = p.qhi.data();
+  const std::uint8_t* slo = p.slo.data();
+  const std::uint8_t* shi = p.shi.data();
   const __m256i tail = tail_gene_mask(d & 3);
   for (std::size_t i = begin; i < end; ++i) {
     const std::uint8_t* wq = view.qrows + i * d;
     const double* row = view.rows + i * d;
     for (std::size_t base = 0; base < padded; base += 32) {
       __m256i acc = _mm256_set1_epi8(static_cast<char>(0xFF));
+      __m256i cert = acc;
       for (std::size_t j = 0; j < d; ++j) {
+        const std::size_t at = j * padded + base;
         const __m256i v = _mm256_set1_epi8(static_cast<char>(wq[j]));
-        const __m256i lo =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(qlo + j * padded + base));
-        const __m256i hi =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(qhi + j * padded + base));
+        const __m256i lo = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(qlo + at));
+        const __m256i hi = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(qhi + at));
         const __m256i ge = _mm256_cmpeq_epi8(_mm256_max_epu8(v, lo), v);
         const __m256i le = _mm256_cmpeq_epi8(_mm256_min_epu8(v, hi), v);
         acc = _mm256_and_si256(acc, _mm256_and_si256(ge, le));
         if (_mm256_testz_si256(acc, acc)) break;
+        const __m256i sl = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(slo + at));
+        const __m256i sh = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(shi + at));
+        cert = _mm256_and_si256(
+            cert, _mm256_and_si256(_mm256_cmpeq_epi8(_mm256_max_epu8(v, sl), v),
+                                   _mm256_cmpeq_epi8(_mm256_min_epu8(v, sh), v)));
       }
       std::uint32_t mask = static_cast<std::uint32_t>(_mm256_movemask_epi8(acc));
+      const std::uint32_t certified = static_cast<std::uint32_t>(_mm256_movemask_epi8(cert));
       while (mask) {
+        const std::uint32_t bit = mask & (~mask + 1);
         const std::size_t r = base + static_cast<unsigned>(__builtin_ctz(mask));
         mask &= mask - 1;
-        if (verify_row_avx2(row, p.vlo.data() + r * pg, p.vhi.data() + r * pg,
+        if ((certified & bit) != 0 ||
+            verify_row_avx2(row, p.vlo.data() + r * pg, p.vhi.data() + r * pg,
                             p.wmask.data() + r * pg, d, tail)) {
-          out[r].push_back(i);
+          sink(i, r);
         }
       }
     }
   }
 }
 #endif  // EF_MATCH_X86
+
+/// The one dispatch of both rule-major entry points: the SIMD width from the
+/// cpuid probe (and `avx2`), the output shape from `sink`. Every body calls
+/// sink(i, r) for each window i and rule r that match, windows ascending
+/// and, within a window, rules ascending — so per-rule lists and per-window
+/// voter lists both come out ascending, with no sort and no transpose.
+template <class Sink>
+void run_rule_major(const LagMajorView& view, const RulePlanes& planes, std::size_t begin,
+                    std::size_t end, bool avx2, Sink sink) {
+  // Zero-lag planes have no byte plane to reject padding or inactive lanes
+  // with, so they match nothing (no rule of the paper has zero genes).
+  if (planes.rule_count == 0 || planes.window == 0 || begin >= end) return;
+#if EF_MATCH_X86
+  if (avx2 && cpu_supports_avx2()) {
+    rule_major_avx2(view, planes, begin, end, sink);
+    return;
+  }
+  rule_major_sse2(view, planes, begin, end, sink);
+#elif defined(__SSE2__)
+  (void)avx2;
+  rule_major_sse2(view, planes, begin, end, sink);
+#else
+  (void)avx2;
+  rule_major_scalar(view, planes, begin, end, sink);
+#endif
+}
 
 }  // namespace
 
@@ -601,21 +661,16 @@ void soa_prefilter_match(const LagMajorView& view, std::span<const Interval> gen
 }
 
 void rule_major_match(const LagMajorView& view, const RulePlanes& planes, std::size_t begin,
-                      std::size_t end, std::vector<std::vector<std::size_t>>& out) {
-  // Zero-lag planes have no byte plane to reject padding or inactive lanes
-  // with, so they match nothing (no rule of the paper has zero genes).
-  if (planes.rule_count == 0 || planes.window == 0 || begin >= end) return;
-#if EF_MATCH_X86
-  if (cpu_supports_avx2()) {
-    rule_major_avx2(view, planes, begin, end, out);
-    return;
-  }
-  rule_major_sse2(view, planes, begin, end, out);
-#elif defined(__SSE2__)
-  rule_major_sse2(view, planes, begin, end, out);
-#else
-  rule_major_scalar(view, planes, begin, end, out);
-#endif
+                      std::size_t end, std::vector<std::vector<std::size_t>>& out, bool avx2) {
+  run_rule_major(view, planes, begin, end, avx2,
+                 [&out](std::size_t i, std::size_t r) { out[r].push_back(i); });
+}
+
+void window_major_match(const LagMajorView& view, const RulePlanes& planes, std::size_t begin,
+                        std::size_t end, std::vector<std::vector<std::size_t>>& out,
+                        bool avx2) {
+  run_rule_major(view, planes, begin, end, avx2,
+                 [&out, begin](std::size_t i, std::size_t r) { out[i - begin].push_back(r); });
 }
 
 }  // namespace matchkern

@@ -10,7 +10,10 @@
 // exactly against the row-major mirror. A whole rule set runs the rule-major
 // kernel: quantized lo/hi byte planes for every gene of every rule, built
 // once, matched against the window stream in ONE pass (16/32 rules per SIMD
-// compare), exact verification on survivors only.
+// compare), exact verification only on survivors the strict-interior byte
+// planes do not certify. Its output goes per rule (MatchEngine::match_all)
+// or per window (the voter lists of RuleSystem's forecasts) straight from
+// the same loop.
 //
 // Inside both kernels cpu_supports_avx2() alone picks the SIMD width: AVX2
 // (32 byte lanes, compiled via function target attributes so the binary
@@ -24,7 +27,9 @@
 // scan, and the tests compare every kernel with it. Quantization never costs
 // a match: the byte mapping is monotone, so the relaxed byte range is a
 // superset of the gene's exact interval, and every candidate is re-checked
-// with the double comparisons lo <= v && v <= hi.
+// with the double comparisons lo <= v && v <= hi — unless its bytes lie
+// strictly inside every bounded gene's byte range, which by the same
+// monotonicity implies lo < v < hi.
 #pragma once
 
 #include <cstddef>
@@ -95,7 +100,8 @@ struct LagMajorView {
 /// build_rule_planes (training: once per evaluation batch; forecasting: once
 /// per model, RuleSystem::compile_planes); plane j is `padded` bytes, one
 /// lane per rule, padded to the SIMD lane count with impossible ranges
-/// (lo=255, hi=0) so padding lanes can never produce a candidate.
+/// (lo=255, hi=0) so padding lanes can never produce a candidate or a
+/// certified match.
 struct RulePlanes {
   std::size_t rule_count = 0;  ///< real rules (before lane padding)
   std::size_t window = 0;      ///< D — gene count every active rule must have
@@ -106,6 +112,16 @@ struct RulePlanes {
 
   std::vector<std::uint8_t> qlo;  ///< window planes × padded lanes
   std::vector<std::uint8_t> qhi;  ///< same layout as qlo
+
+  /// Strict-interior byte bounds, same layout as qlo: qlo+1 / qhi−1 for a
+  /// bounded gene, 0/255 for a wildcard, the impossible 255/0 for a bounded
+  /// gene with qlo == 255 or qhi == 0 and for padding and inactive lanes. A
+  /// window byte b in [slo, shi] certifies lo < v < hi: the byte map is
+  /// monotone, so b > q(lo) implies v > lo and b < q(hi) implies v < hi, and
+  /// NaN (byte 0) is never certified by a bounded gene. A window whose bytes
+  /// are certified in every gene matches without exact verification.
+  std::vector<std::uint8_t> slo;
+  std::vector<std::uint8_t> shi;
 
   /// Exact bounds, rule-major rows of `padded_genes` entries. Verification is
   /// pass = wild | (vlo <= v && v <= vhi) per gene — the paper's double
@@ -157,12 +173,22 @@ void soa_prefilter_match(const LagMajorView& view, std::span<const Interval> gen
 /// Rule-major batched kernel: match every rule of `planes` against windows
 /// [begin, end) in one pass, appending window i to out[r] (ascending; out
 /// must hold planes.rule_count vectors). Requires view.qrows and view.rows;
-/// the SIMD width (AVX2 / SSE2 / scalar) is chosen per call from the cpuid
-/// probe. Bit-identical to running the prefilter kernel per rule. Planes of
-/// zero lags match nothing, so an empty window never has voters.
+/// the SIMD width is chosen per call from the cpuid probe — AVX2 when
+/// `avx2` is set and the CPU has it, else SSE2, else scalar; results are
+/// identical either way. Bit-identical to running the prefilter kernel per
+/// rule. Planes of zero lags match nothing, so an empty window never has
+/// voters.
 void rule_major_match(const LagMajorView& view, const RulePlanes& planes,
                       std::size_t begin, std::size_t end,
-                      std::vector<std::vector<std::size_t>>& out);
+                      std::vector<std::vector<std::size_t>>& out, bool avx2 = true);
+
+/// The same kernel with window-major output: appends every rule that
+/// matches window i to out[i − begin], ascending — a window's voter list
+/// (out must hold end − begin vectors). Transposing it gives
+/// rule_major_match's output exactly.
+void window_major_match(const LagMajorView& view, const RulePlanes& planes,
+                        std::size_t begin, std::size_t end,
+                        std::vector<std::vector<std::size_t>>& out, bool avx2 = true);
 
 }  // namespace matchkern
 

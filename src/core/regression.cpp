@@ -56,6 +56,14 @@ bool solve_spd_inplace(std::vector<double>& a, std::vector<double>& b, std::size
 
 namespace {
 
+/// Per-thread normal-equation scratch, grown on demand and reused by every
+/// later fit on the thread (one set per overload). A fit never re-enters
+/// another fit or the pool, so nothing else uses it while a fit runs.
+struct NormalScratch {
+  std::vector<double> xtx;  ///< n × n, n = dim + 1
+  std::vector<double> xty;  ///< n
+};
+
 /// Shared core: rows are provided through an accessor returning
 /// (pattern span, target) so both public overloads use the same path, and
 /// the XᵀX / Xᵀy accumulation is supplied by the caller so the
@@ -88,8 +96,11 @@ LinearFit fit_impl(std::size_t row_count, std::size_t dim, RowAt&& row_at,
     constant_fit();
   } else {
     // Normal equations: (XᵀX) w = Xᵀy with X augmented by a ones column.
-    std::vector<double> xtx(n * n, 0.0);
-    std::vector<double> xty(n, 0.0);
+    thread_local NormalScratch scratch;
+    std::vector<double>& xtx = scratch.xtx;
+    std::vector<double>& xty = scratch.xty;
+    xtx.assign(n * n, 0.0);
+    xty.assign(n, 0.0);
     accumulate(xtx, xty, n);
     // Mirror the upper triangle (we accumulated j >= i only).
     for (std::size_t i = 0; i < n; ++i) {
@@ -103,10 +114,10 @@ LinearFit fit_impl(std::size_t row_count, std::size_t dim, RowAt&& row_at,
       for (std::size_t i = 0; i < n; ++i) xtx[i * n + i] += bump;
     }
 
-    std::vector<double> w = xty;
-    if (solve_spd_inplace(xtx, w, n)) {
-      fit.coeffs = std::move(w);
-    } else {
+    // Solved in place in the coefficients the fit returns, which need their
+    // own allocation anyway.
+    fit.coeffs.assign(xty.begin(), xty.end());
+    if (!solve_spd_inplace(xtx, fit.coeffs, n)) {
       constant_fit();  // singular even with ridge: constant model
     }
   }

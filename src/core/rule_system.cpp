@@ -81,31 +81,30 @@ std::optional<std::pair<double, double>> gene_value_range(std::span<const Rule> 
   return std::make_pair(lo, hi);
 }
 
-/// Windows per kernel call. Bounds the per-thread scratch below (one match
-/// list per rule, one voter list per window), which lives as long as its
-/// thread, whatever range the caller asks for: with 256 a 372-rule coverage
-/// scan left ~1 MB on every pool worker.
+/// Windows per kernel call. Bounds the per-thread scratch below (one voter
+/// list per window of the block and the block's bytes), which lives as long
+/// as its thread, whatever range the caller asks for: at most kVoteBlock
+/// lists of at most one entry per rule each.
 constexpr std::size_t kVoteBlock = 64;
 
 /// Per-thread scratch of the match helper, reused across calls so a
 /// single-window forecast allocates nothing once warm.
 struct VoterScratch {
-  std::vector<std::vector<std::size_t>> matched;  ///< per rule: block-relative windows
-  std::vector<std::vector<std::size_t>> voters;   ///< per window of the block: rules
-  std::vector<std::uint8_t> qrows;                ///< the block through the planes' map
+  std::vector<std::vector<std::size_t>> voters;  ///< per window of the block: rules
+  std::vector<std::uint8_t> qrows;               ///< the block through the planes' map
 };
 
 /// The one match path of every rule-set query: windows [begin, end) of the
 /// row-major `rows` (planes.window lags each) run through the rule-major
 /// kernel in blocks, and each window's matching rules reach `emit` as
 /// ascending rule indices — the paper's match set, in the order its votes
-/// are aggregated.
+/// are aggregated. The kernel writes them window-major, so a window's voter
+/// list costs its voters, not the rule count.
 void for_each_voter_set(
     const RulePlanes& planes, const double* rows, std::size_t begin, std::size_t end,
     util::FunctionRef<void(std::size_t, std::span<const std::size_t>)> emit) {
   thread_local VoterScratch s;
   const std::size_t d = planes.window;
-  if (s.matched.size() < planes.rule_count) s.matched.resize(planes.rule_count);
   if (s.voters.size() < kVoteBlock) s.voters.resize(kVoteBlock);
   for (std::size_t b = begin; b < end; b += kVoteBlock) {
     const std::size_t n = std::min(end - b, kVoteBlock);
@@ -119,12 +118,8 @@ void for_each_voter_set(
     view.window = d;
     view.rows = block;
     view.qrows = s.qrows.data();
-    for (std::size_t r = 0; r < planes.rule_count; ++r) s.matched[r].clear();
     for (std::size_t i = 0; i < n; ++i) s.voters[i].clear();
-    matchkern::rule_major_match(view, planes, 0, n, s.matched);
-    for (std::size_t r = 0; r < planes.rule_count; ++r) {
-      for (const std::size_t i : s.matched[r]) s.voters[i].push_back(r);
-    }
+    matchkern::window_major_match(view, planes, 0, n, s.voters);
     for (std::size_t i = 0; i < n; ++i) emit(b + i, s.voters[i]);
   }
 }

@@ -218,7 +218,11 @@ std::string json_escape(std::string_view text) {
 }
 
 json::Writer reply(bool ok, int version, std::string_view id_json) {
+  // Room for a v2 predict reply with its interval (about 190 bytes besides
+  // the id) in one allocation.
+  constexpr std::size_t kReplyBytes = 256;
   json::Writer out;
+  out.reserve(kReplyBytes + id_json.size());
   out.begin_object().key("ok").value(ok);
   if (version >= 2) {
     out.key("v").value(2);

@@ -109,7 +109,8 @@ struct ProtocolError {
                                                    ProtocolError& error);
 
 /// Starts a reply object: `{"ok":<ok>`, then for v2 `"v":2` and the echoed
-/// id. Callers add their fields and close the object.
+/// id. Callers add their fields and close the object. The writer's buffer
+/// is reserved for a whole predict reply, so one is built in one allocation.
 [[nodiscard]] json::Writer reply(bool ok, int version, std::string_view id_json);
 [[nodiscard]] inline json::Writer reply(bool ok, const Request& request) {
   return reply(ok, request.version, request.id_json);

@@ -85,6 +85,13 @@ class Writer {
   /// document) as the next value.
   Writer& raw(std::string_view json);
 
+  /// Reserves room for `bytes` of output, so a document of known typical
+  /// size allocates its buffer once instead of growing it step by step.
+  Writer& reserve(std::size_t bytes) {
+    out_.reserve(bytes);
+    return *this;
+  }
+
   /// Moves the document written so far out of the writer.
   [[nodiscard]] std::string take() noexcept { return std::move(out_); }
 

@@ -2,7 +2,7 @@
 // RuleSystem::forecast over the planes), driven through the serving entry
 // LoadedModel::forecast and the compile-per-call RuleSystem::forecast: exact
 // agreement with the paper oracle's voters (tests/oracle/) under every
-// aggregation — hand and trained systems, random and ±1e300 probes,
+// aggregation — hand, trained and 333-rule systems, random and ±1e300 probes,
 // out-of-range, empty and wrong-length windows, mixed-dimension systems —
 // plus degenerate byte maps meeting infinite values, and planes of another
 // system rejected.
@@ -132,6 +132,54 @@ TEST(CompiledForecast, AgreesWithReferenceOnTrainedSystem) {
     const auto p = test.pattern(i);
     for (const auto& w : huge_value_probes({p.begin(), p.end()})) {
       expect_same_forecast(*model, w);
+    }
+  }
+}
+
+TEST(CompiledForecast, LargeSystemAgreesWithReference) {
+  // 333 rules: eleven 32-rule AVX2 vectors and a partial one, so voter lists
+  // gather matches from every lane block of the window-major kernel. Genes
+  // are wide enough that most probes have dozens of voters, and some rules
+  // are all wildcard.
+  ef::util::Rng rng(19);
+  constexpr std::size_t kWindow = 6;
+  std::vector<Rule> rules;
+  for (int r = 0; r < 333; ++r) {
+    std::vector<Interval> genes;
+    for (std::size_t j = 0; j < kWindow; ++j) {
+      if (r % 37 == 0 || rng.bernoulli(0.4)) {
+        genes.push_back(Interval::wildcard());
+      } else {
+        const double lo = rng.uniform(-0.2, 0.6);
+        genes.emplace_back(lo, lo + rng.uniform(0.3, 0.8));
+      }
+    }
+    rules.push_back(make_rule(std::move(genes), rng.uniform(-1.0, 1.0), rng.uniform(0.5, 3.0),
+                              rng.uniform(0.01, 0.3), rng.uniform(-0.5, 0.5)));
+  }
+  RuleSystem system;
+  system.add_rules(std::move(rules), false, -1.0);
+  const auto model = load(std::move(system));
+  ASSERT_EQ(model->system().size(), 333u);
+
+  std::vector<double> flat;
+  for (int probe = 0; probe < 300; ++probe) {
+    std::vector<double> w(kWindow);
+    for (double& v : w) v = rng.uniform(-0.3, 1.3);
+    expect_same_forecast(*model, w);
+    flat.insert(flat.end(), w.begin(), w.end());
+  }
+  for (const auto& w : huge_value_probes({0.3, 0.4, 0.5, 0.4, 0.3, 0.35})) {
+    expect_same_forecast(*model, w);
+  }
+  for (const Aggregation how : kAllAggregations) {
+    const auto batch = model->system().forecast_batch(flat, kWindow, how);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << "position " << i);
+      expect_same(batch[i],
+                  ef::oracle::expected_prediction(model->system().rules(),
+                                                  {flat.data() + i * kWindow, kWindow}, how),
+                  how);
     }
   }
 }

@@ -1,6 +1,6 @@
 // Property tests for the match paths: MatchEngine and the kernels it
 // dispatches to — the prefilter at each SIMD width, the rule-major batch
-// kernel — must produce exactly the same ascending index set as the paper
+// kernel at each width and in both output shapes — must produce exactly the same ascending index set as the paper
 // oracle's scalar scan (tests/oracle/paper_oracle.hpp, over windows it builds
 // from the raw series), across wildcard densities, window sizes,
 // selectivities, and datasets large enough to trigger the parallel chunked
@@ -12,6 +12,7 @@
 #include <cmath>
 #include <limits>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/match_backend.hpp"
@@ -272,6 +273,63 @@ TEST(MatchBackends, RuleMajorBatchEdgeCases) {
   expect_match_all_matches_oracle(s, data, rules, &pool, "edge-parallel");
 }
 
+/// Row-major windows and their bytes through one byte map, viewed the way
+/// the rule-major kernels read them.
+struct RowBlock {
+  std::vector<double> rows;
+  std::vector<std::uint8_t> qrows;
+  ef::core::LagMajorView view{};
+
+  RowBlock(std::vector<double> values, std::size_t window, double qmin, double qinv)
+      : rows(std::move(values)), qrows(rows.size()) {
+    for (std::size_t k = 0; k < rows.size(); ++k) {
+      qrows[k] = ef::core::quantize_value(rows[k], qmin, qinv);
+    }
+    view.count = rows.size() / window;
+    view.window = window;
+    view.rows = rows.data();
+    view.qrows = qrows.data();
+    view.qmin = qmin;
+    view.qinv = qinv;
+  }
+};
+
+ef::core::RulePlanes planes_of(const std::vector<Rule>& rules, std::size_t window, double qmin,
+                               double qinv) {
+  std::vector<std::span<const Interval>> genes;
+  genes.reserve(rules.size());
+  for (const Rule& rule : rules) genes.emplace_back(rule.genes());
+  return ef::core::build_rule_planes(genes, window, qmin, qinv);
+}
+
+/// Both rule-major entry points at both SIMD widths against the oracle's
+/// exact scan (the comparisons verify_rule_row makes): every window's voter
+/// list, and every rule's match list.
+void expect_rule_major_exact(const RowBlock& block, const std::vector<Rule>& rules,
+                             double qmin, double qinv, const std::string& what) {
+  const std::size_t count = block.view.count;
+  const std::size_t d = block.view.window;
+  const ef::core::RulePlanes planes = planes_of(rules, d, qmin, qinv);
+  std::vector<std::vector<std::size_t>> per_rule(rules.size());
+  std::vector<std::vector<std::size_t>> per_window(count);
+  for (std::size_t r = 0; r < rules.size(); ++r) {
+    per_rule[r] = ef::oracle::match_rows(rules[r].genes(), block.rows.data(), count, d);
+    for (const std::size_t i : per_rule[r]) per_window[i].push_back(r);
+  }
+  for (const bool avx2 : {false, true}) {
+    std::vector<std::vector<std::size_t>> voters(count);
+    ef::core::matchkern::window_major_match(block.view, planes, 0, count, voters, avx2);
+    for (std::size_t i = 0; i < count; ++i) {
+      ASSERT_EQ(voters[i], per_window[i]) << what << " avx2=" << avx2 << " window=" << i;
+    }
+    std::vector<std::vector<std::size_t>> matched(rules.size());
+    ef::core::matchkern::rule_major_match(block.view, planes, 0, count, matched, avx2);
+    for (std::size_t r = 0; r < rules.size(); ++r) {
+      ASSERT_EQ(matched[r], per_rule[r]) << what << " avx2=" << avx2 << " rule=" << r;
+    }
+  }
+}
+
 TEST(MatchBackends, RuleMajorKernelNanSemantics) {
   // Ad-hoc view with NaN cells (TimeSeries rejects non-finite input, so this
   // probes the kernel layer directly): quantized mirrors are built with the
@@ -286,38 +344,139 @@ TEST(MatchBackends, RuleMajorKernelNanSemantics) {
   rows[4 * kWindow + 1] = std::numeric_limits<double>::quiet_NaN();
   rows[17 * kWindow + 0] = std::numeric_limits<double>::quiet_NaN();
   rows[50 * kWindow + 2] = std::numeric_limits<double>::quiet_NaN();
-
   const double qmin = 0.0;
   const double qinv = 255.0;  // values in [0,1)
-  std::vector<std::uint8_t> qrows(rows.size());
-  for (std::size_t k = 0; k < rows.size(); ++k) {
-    qrows[k] = ef::core::quantize_value(rows[k], qmin, qinv);
-  }
-  ef::core::LagMajorView view{};
-  view.count = kCount;
-  view.window = kWindow;
-  view.rows = rows.data();
-  view.qmin = qmin;
-  view.qinv = qinv;
-  view.qrows = qrows.data();
+  const RowBlock block(std::move(rows), kWindow, qmin, qinv);
 
   std::uint64_t seed = 310;
   for (const double wc : {0.0, 0.5, 1.0}) {
     for (int trial = 0; trial < 6; ++trial) {
       std::vector<Rule> rules;
       for (int r = 0; r < 37; ++r) rules.push_back(random_rule(kWindow, wc, ++seed));
-      std::vector<std::span<const Interval>> genes;
-      genes.reserve(rules.size());
-      for (const Rule& rule : rules) genes.emplace_back(rule.genes());
-      const ef::core::RulePlanes planes =
-          ef::core::build_rule_planes(genes, kWindow, qmin, qinv);
+      expect_rule_major_exact(block, rules, qmin, qinv,
+                              "wc=" + std::to_string(wc) + " trial=" + std::to_string(trial));
+    }
+  }
+}
 
-      std::vector<std::vector<std::size_t>> got(rules.size());
-      ef::core::matchkern::rule_major_match(view, planes, 0, kCount, got);
-      for (std::size_t r = 0; r < rules.size(); ++r) {
-        EXPECT_EQ(got[r], ef::oracle::match_rows(rules[r].genes(), rows.data(), kCount, kWindow))
-            << "wc=" << wc << " trial=" << trial << " rule=" << r;
+TEST(MatchBackends, RuleMajorCertifiedBytesAreExact) {
+  // The strict-interior byte planes let the SIMD bodies accept a candidate
+  // without exact verification. Gene bounds here sit exactly on the byte
+  // map's cell edges and one ulp either side, and window values sit exactly
+  // on those bounds and beside them — the values a certificate one byte too
+  // loose would wrongly accept — plus NaN, ±inf and ±1e300. Maps: a
+  // spread one, a coarse one that clamps most values to bytes 0/255 (genes
+  // with q(lo) == 255 or q(hi) == 0), the degenerate qinv == 0 map of a rule
+  // set whose genes collapse to one value, and qinv == inf.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct Map {
+    double qmin;
+    double qinv;
+  };
+  const Map maps[] = {{-1.0, 255.0 / 3.0}, {0.5, 255.0}, {0.0, 0.0}, {0.25, inf}};
+  ef::util::Rng rng(2027);
+  for (const Map& map : maps) {
+    // Cell edges of the map over [-1, 2], one ulp either side included.
+    std::vector<double> edges;
+    for (int k = 0; k <= 256; k += 3) {
+      const double e = map.qinv > 0.0 && map.qinv < inf
+                           ? map.qmin + static_cast<double>(k) / map.qinv
+                           : -1.0 + 3.0 * static_cast<double>(k) / 256.0;
+      edges.insert(edges.end(), {std::nextafter(e, -inf), e, std::nextafter(e, inf)});
+    }
+    edges.insert(edges.end(), {map.qmin, std::nextafter(map.qmin, -inf),
+                               std::nextafter(map.qmin, inf)});
+    for (const std::size_t d : {std::size_t{1}, std::size_t{3}, std::size_t{6}}) {
+      for (const std::size_t n_rules :
+           {std::size_t{1}, std::size_t{15}, std::size_t{17}, std::size_t{33}, std::size_t{70}}) {
+        std::vector<Rule> rules;
+        std::vector<double> bounds;  // every bounded gene's lo and hi
+        for (std::size_t r = 0; r < n_rules; ++r) {
+          std::vector<Interval> genes;
+          const bool all_wild = rng.bernoulli(0.1);
+          for (std::size_t j = 0; j < d; ++j) {
+            if (all_wild || rng.bernoulli(0.25)) {
+              genes.push_back(Interval::wildcard());
+              continue;
+            }
+            double lo = edges[rng.index(edges.size())];
+            double hi = rng.bernoulli(0.1) ? lo : edges[rng.index(edges.size())];
+            if (lo > hi) std::swap(lo, hi);
+            genes.emplace_back(lo, hi);
+            bounds.insert(bounds.end(), {lo, hi});
+          }
+          rules.emplace_back(std::move(genes));
+        }
+        const double specials[] = {nan, inf, -inf, 1e300, -1e300};
+        std::vector<double> values(200 * d);
+        for (double& v : values) {
+          const double pick = rng.uniform(0.0, 1.0);
+          if (pick < 0.05) {
+            v = specials[rng.index(std::size(specials))];
+          } else if (pick < 0.6 && !bounds.empty()) {
+            const double b = bounds[rng.index(bounds.size())];
+            const double side = rng.uniform(0.0, 1.0);
+            v = side < 0.5 ? b : std::nextafter(b, side < 0.75 ? -inf : inf);
+          } else {
+            v = edges[rng.index(edges.size())];
+          }
+        }
+        const RowBlock block(std::move(values), d, map.qmin, map.qinv);
+        expect_rule_major_exact(block, rules, map.qmin, map.qinv,
+                                "qinv=" + std::to_string(map.qinv) + " d=" +
+                                    std::to_string(d) + " rules=" + std::to_string(n_rules));
       }
+    }
+  }
+
+  // A rule set whose bounded genes collapse to one value compiles to the
+  // degenerate map: every byte is 0, so nothing is certified and every
+  // candidate is verified.
+  std::vector<Rule> point;
+  for (int r = 0; r < 19; ++r) {
+    point.emplace_back(std::vector<Interval>{
+        r % 3 == 0 ? Interval::wildcard() : Interval(0.5, 0.5), Interval(0.5, 0.5)});
+  }
+  const RowBlock block({0.5, 0.5, std::nextafter(0.5, inf), 0.5, 0.5, nan, inf, 0.5, 0.5,
+                        std::nextafter(0.5, -inf)},
+                       2, 0.0, 0.0);
+  expect_rule_major_exact(block, point, 0.0, 0.0, "point genes");
+}
+
+TEST(MatchBackends, WindowMajorEqualsRuleMajor) {
+  // The window-major entry point transposes rule_major_match's output
+  // exactly — over the whole dataset and over ranges split at offsets that
+  // are not multiples of either lane width, at both SIMD widths.
+  const TimeSeries s = random_series(3000, 47);
+  const WindowDataset data(s, 5, 1);
+  const std::size_t m = data.count();
+  const ef::core::LagMajorView view = data.lag_major();
+  std::uint64_t seed = 9100;
+  ef::util::Rng sizes(5);
+  for (int trial = 0; trial < 6; ++trial) {
+    const std::size_t n_rules = 1 + sizes.index(90);
+    std::vector<Rule> rules;
+    for (std::size_t r = 0; r < n_rules; ++r) {
+      rules.push_back(random_rule(5, 0.25 * static_cast<double>(r % 5), ++seed));
+    }
+    const ef::core::RulePlanes planes = planes_of(rules, 5, view.qmin, view.qinv);
+    for (const bool avx2 : {false, true}) {
+      std::vector<std::vector<std::size_t>> per_rule(n_rules);
+      ef::core::matchkern::rule_major_match(view, planes, 0, m, per_rule, avx2);
+
+      std::vector<std::vector<std::size_t>> transposed(n_rules);
+      const std::size_t cuts[] = {0, 37, m / 2 + 5, m};
+      for (std::size_t c = 0; c + 1 < std::size(cuts); ++c) {
+        std::vector<std::vector<std::size_t>> voters(cuts[c + 1] - cuts[c]);
+        ef::core::matchkern::window_major_match(view, planes, cuts[c], cuts[c + 1], voters,
+                                                avx2);
+        for (std::size_t k = 0; k < voters.size(); ++k) {
+          ASSERT_TRUE(std::is_sorted(voters[k].begin(), voters[k].end()));
+          for (const std::size_t r : voters[k]) transposed[r].push_back(cuts[c] + k);
+        }
+      }
+      EXPECT_EQ(transposed, per_rule) << "trial=" << trial << " avx2=" << avx2;
     }
   }
 }
